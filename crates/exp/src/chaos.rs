@@ -265,12 +265,12 @@ fn episode_campaign(
     }
 }
 
-/// One serve episode: a real daemon on a Unix socket, a client whose
-/// transport injects the wire plan. Whatever the wire does, the daemon
-/// must drain within a hard bound and exit typed.
-fn episode_serve(tag: &str, seed: u64, plan: WireFaultPlan, report: &mut ChaosReport) {
-    let socket = std::env::temp_dir().join(format!("mps-chaos-{}-{tag}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&socket);
+/// One serve episode: a real daemon on a Unix socket in the soak's
+/// directory, a client whose transport injects the wire plan. Whatever
+/// the wire does, the daemon must drain within a hard bound and exit
+/// typed.
+fn episode_serve(tag: &str, dir: &Path, seed: u64, plan: WireFaultPlan, report: &mut ChaosReport) {
+    let socket = dir.join(format!("{tag}.sock"));
     let server = Server::new(
         Arc::new(ServeBackend::new(Harness::new(7))),
         ServerConfig {
@@ -463,6 +463,7 @@ pub fn run_chaos(opts: &ChaosOpts, mut progress: impl FnMut(&str)) -> std::io::R
             ),
             _ => episode_serve(
                 &tag,
+                &opts.dir,
                 seed,
                 WireFaultPlan::with_intensity(intensity),
                 &mut report,
@@ -549,7 +550,13 @@ pub fn run_chaos(opts: &ChaosOpts, mut progress: impl FnMut(&str)) -> std::io::R
         ),
     ];
     for (k, (tag, plan)) in wire_targets.into_iter().enumerate() {
-        episode_serve(tag, fold(opts.seed, 20_000 + k as u64), plan, &mut report);
+        episode_serve(
+            tag,
+            &opts.dir,
+            fold(opts.seed, 20_000 + k as u64),
+            plan,
+            &mut report,
+        );
         report.episodes += 1;
     }
     // Targeted disturbance episodes: the *platform* misbehaves on a

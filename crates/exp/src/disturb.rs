@@ -15,7 +15,7 @@
 //!   point is that simulators must predict the *verdict*; this experiment
 //!   asks how long the verdict itself survives a degrading platform.
 //!
-//! The intensity-0 point runs the exact pre-disturbance code path (an
+//! The intensity-0 point runs exactly like an undisturbed grid (an
 //! empty plan is dropped by [`Harness::with_disturbance`]), so the sweep
 //! doubles as a live determinism guard: its first row must match a plain
 //! grid byte for byte.

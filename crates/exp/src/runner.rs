@@ -365,6 +365,20 @@ impl WorkerSlab {
     }
 }
 
+/// Testbed-side tallies of one cell's repeats.
+#[derive(Default)]
+struct Repeats {
+    /// Makespans of the runs that completed.
+    runs: Vec<f64>,
+    /// Runs that ended in a typed execution error.
+    failed_runs: usize,
+    /// Task retries summed over the completed runs.
+    retries: u32,
+    /// Fired-disturbance and recovery counters, summed over all runs.
+    report: DisturbReport,
+    first_error: Option<String>,
+}
+
 impl Harness {
     /// Builds the harness: spins up the testbed and instantiates the
     /// refined models from measurements.
@@ -411,7 +425,7 @@ impl Harness {
 
     /// Injects timed platform disturbances into every subsequent testbed
     /// execution. An empty plan is dropped entirely, so zero-intensity
-    /// runs take the exact pre-disturbance code path (bit-identity).
+    /// runs are undisturbed runs, with the same config digest.
     pub fn with_disturbance(mut self, cfg: DisturbConfig) -> Self {
         self.disturb = if cfg.plan.is_empty() { None } else { Some(cfg) };
         self
@@ -476,15 +490,19 @@ impl Harness {
         }
     }
 
-    /// Runs the testbed repeats of one cell under the active disturbance
-    /// config. The rescue re-planner schedules the whole DAG onto an
-    /// m-node sub-cluster with the cell's own model and algorithm (using
-    /// the caller's warm allocation engine), then maps host `j` back to
-    /// survivor `j` — the rescue schedule is in original host-id space,
-    /// placed only on survivors. Returns
-    /// `(runs, failed_runs, retries, report, first_error)`.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn run_repeats_disturbed(
+    /// Runs the testbed repeats of one cell, under `disturb` when given
+    /// (and under the harness fault plan, if any). The rescue re-planner
+    /// schedules the whole DAG onto an m-node sub-cluster with the cell's
+    /// own model and algorithm (using the caller's warm allocation
+    /// engine), then maps host `j` back to survivor `j` — the rescue
+    /// schedule is in original host-id space, placed only on survivors.
+    ///
+    /// The simulate step already validated the schedule against the
+    /// nominal cluster, and `Schedule::validate` only consults the node
+    /// count — which the derated testbed cluster shares — so the testbed
+    /// runs skip re-validation.
+    #[allow(clippy::too_many_arguments)]
+    fn run_repeats(
         &self,
         testbed_slab: &mut ExecSlab,
         engine: &mut AllocationEngine,
@@ -493,14 +511,10 @@ impl Harness {
         algo: &dyn Scheduler,
         schedule: &Schedule,
         repeats: u64,
-        cfg: &DisturbConfig,
-    ) -> (Vec<f64>, usize, u32, DisturbReport, Option<String>) {
+        disturb: Option<&DisturbConfig>,
+    ) -> Repeats {
         let model = self.model_of(variant);
-        let mut runs = Vec::new();
-        let mut failed_runs = 0usize;
-        let mut retries = 0u32;
-        let mut report = DisturbReport::default();
-        let mut first_error: Option<String> = None;
+        let mut out = Repeats::default();
         for r in 0..repeats.max(1) {
             let run_seed = g.seed.wrapping_add(r);
             let mut replan = |survivors: &[HostId]| -> Option<Schedule> {
@@ -515,7 +529,15 @@ impl Harness {
                 }
                 Some(s)
             };
-            let mut run_report = DisturbReport::default();
+            let setup = match disturb {
+                Some(cfg) => DisturbSetup {
+                    plan: &cfg.plan,
+                    recovery: cfg.recovery,
+                    rescue_overhead: cfg.rescue_overhead,
+                    replan: Some(&mut replan),
+                },
+                None => DisturbSetup::none(),
+            };
             let run = self.testbed.execute_disturbed_prevalidated_with_slab(
                 testbed_slab,
                 &g.dag,
@@ -523,27 +545,21 @@ impl Harness {
                 run_seed,
                 self.fault_plan.as_ref(),
                 &self.policy,
-                DisturbSetup {
-                    plan: &cfg.plan,
-                    recovery: cfg.recovery,
-                    rescue_overhead: cfg.rescue_overhead,
-                    replan: Some(&mut replan),
-                },
-                &mut run_report,
+                setup,
+                &mut out.report,
             );
-            report.absorb(&run_report);
             match run {
                 Ok(res) => {
-                    retries += res.total_retries();
-                    runs.push(res.makespan);
+                    out.retries += res.total_retries();
+                    out.runs.push(res.makespan);
                 }
                 Err(e) => {
-                    failed_runs += 1;
-                    first_error.get_or_insert_with(|| e.to_string());
+                    out.failed_runs += 1;
+                    out.first_error.get_or_insert_with(|| e.to_string());
                 }
             }
         }
-        (runs, failed_runs, retries, report, first_error)
+        out
     }
 
     /// Folds the testbed-side tallies of one cell into its outcome:
@@ -551,30 +567,25 @@ impl Harness {
     /// pre-disturbance `Full`/`Degraded`/`Failed` ladder — so grids
     /// without a disturbance config produce byte-identical outcomes to
     /// builds that predate the subsystem.
-    fn fold_outcome(
-        cell: &mut CellResult,
-        failed_runs: usize,
-        retries: u32,
-        report: DisturbReport,
-        first_error: Option<String>,
-    ) {
+    fn fold_outcome(cell: &mut CellResult, reps: Repeats) {
+        cell.real_runs = reps.runs;
         if cell.real_runs.is_empty() {
             cell.outcome = CellOutcome::Failed {
-                error: first_error.unwrap_or_else(|| "no runs".into()),
+                error: reps.first_error.unwrap_or_else(|| "no runs".into()),
             };
             return;
         }
         cell.real_makespan = cell.real_runs.iter().sum::<f64>() / cell.real_runs.len() as f64;
-        if report.fired() > 0 || report.rescues > 0 {
+        if reps.report.fired() > 0 || reps.report.rescues > 0 {
             cell.outcome = CellOutcome::Disturbed {
-                failed_runs,
-                retries,
-                report,
+                failed_runs: reps.failed_runs,
+                retries: reps.retries,
+                report: reps.report,
             };
-        } else if failed_runs > 0 || retries > 0 {
+        } else if reps.failed_runs > 0 || reps.retries > 0 {
             cell.outcome = CellOutcome::Degraded {
-                failed_runs,
-                retries,
+                failed_runs: reps.failed_runs,
+                retries: reps.retries,
             };
         }
     }
@@ -586,28 +597,18 @@ impl Harness {
         algo: &dyn Scheduler,
         repeats: u64,
     ) -> CellResult {
-        Self::with_worker_slab(|slab| self.run_one_with_slab(slab, g, variant, algo, repeats))
+        Self::with_worker_slab(|slab| {
+            self.run_one_with_slab(slab, g, variant, algo, repeats, self.disturb.as_ref())
+        })
     }
 
     /// Computes one grid cell with caller-owned warm state — the batched
     /// hot path. Bit-identical to [`Harness::run_one_reference`] for any
-    /// slab history (every reused component resets per run).
+    /// slab history (every reused component resets per run). `disturb`
+    /// is explicit because on the daemon each work request may carry its
+    /// own plan; `None` runs undisturbed regardless of the harness-level
+    /// setting.
     pub(crate) fn run_one_with_slab(
-        &self,
-        slab: &mut WorkerSlab,
-        g: &GeneratedDag,
-        variant: SimVariant,
-        algo: &dyn Scheduler,
-        repeats: u64,
-    ) -> CellResult {
-        self.run_one_with_slab_disturb(slab, g, variant, algo, repeats, self.disturb.as_ref())
-    }
-
-    /// [`Harness::run_one_with_slab`] with an explicit disturbance
-    /// configuration — the daemon substrate, where each work request may
-    /// carry its own plan. `None` runs undisturbed regardless of the
-    /// harness-level setting.
-    pub(crate) fn run_one_with_slab_disturb(
         &self,
         slab: &mut WorkerSlab,
         g: &GeneratedDag,
@@ -674,68 +675,23 @@ impl Harness {
         };
         cell.sim_makespan = sim_makespan;
 
-        let mut failed_runs = 0usize;
-        let mut retries = 0u32;
-        let mut first_error = None;
-        let mut dreport = DisturbReport::default();
-        if let Some(cfg) = disturb {
-            let (runs, f, rt, rep, err) = self.run_repeats_disturbed(
-                &mut slab.testbed_slab,
-                &mut slab.engine,
-                g,
-                variant,
-                algo,
-                &schedule,
-                repeats,
-                cfg,
-            );
-            cell.real_runs = runs;
-            failed_runs = f;
-            retries = rt;
-            dreport = rep;
-            first_error = err;
-        } else {
-            for r in 0..repeats.max(1) {
-                let run_seed = g.seed.wrapping_add(r);
-                // The simulate step above already validated the schedule
-                // against the nominal cluster, and `Schedule::validate` only
-                // consults the node count — which the derated testbed cluster
-                // shares — so the testbed runs skip re-validation.
-                let run = match &self.fault_plan {
-                    Some(plan) => self.testbed.execute_with_faults_prevalidated_with_slab(
-                        &mut slab.testbed_slab,
-                        &g.dag,
-                        &schedule,
-                        run_seed,
-                        plan,
-                        &self.policy,
-                    ),
-                    None => self.testbed.execute_prevalidated_with_slab(
-                        &mut slab.testbed_slab,
-                        &g.dag,
-                        &schedule,
-                        run_seed,
-                    ),
-                };
-                match run {
-                    Ok(res) => {
-                        retries += res.total_retries();
-                        cell.real_runs.push(res.makespan);
-                    }
-                    Err(e) => {
-                        failed_runs += 1;
-                        first_error.get_or_insert_with(|| e.to_string());
-                    }
-                }
-            }
-        }
-        Self::fold_outcome(&mut cell, failed_runs, retries, dreport, first_error);
+        let reps = self.run_repeats(
+            &mut slab.testbed_slab,
+            &mut slab.engine,
+            g,
+            variant,
+            algo,
+            &schedule,
+            repeats,
+            disturb,
+        );
+        Self::fold_outcome(&mut cell, reps);
         cell
     }
 
     /// The pre-batch per-cell reference path: fresh allocation engine,
     /// fresh simulator and executor state, full schedule validation on
-    /// both the simulator and testbed sides. Kept (and exercised by the
+    /// the simulator side. Kept (and exercised by the
     /// determinism regression tests) as the semantic baseline the batched
     /// [`Harness::run_one_with_slab`] path must match bit for bit; the
     /// grid drivers never call it.
@@ -780,56 +736,19 @@ impl Harness {
         };
         cell.sim_makespan = sim_makespan;
 
-        let mut failed_runs = 0usize;
-        let mut retries = 0u32;
-        let mut first_error = None;
-        let mut dreport = DisturbReport::default();
-        if let Some(cfg) = &self.disturb {
-            // Fresh executor slab and allocation engine — the reference
-            // semantics — which the warm-slab path must match bit for bit.
-            let mut fresh_slab = ExecSlab::new();
-            let mut fresh_engine = AllocationEngine::default();
-            let (runs, f, rt, rep, err) = self.run_repeats_disturbed(
-                &mut fresh_slab,
-                &mut fresh_engine,
-                g,
-                variant,
-                algo,
-                &schedule,
-                repeats,
-                cfg,
-            );
-            cell.real_runs = runs;
-            failed_runs = f;
-            retries = rt;
-            dreport = rep;
-            first_error = err;
-        } else {
-            for r in 0..repeats.max(1) {
-                let run_seed = g.seed.wrapping_add(r);
-                let run = match &self.fault_plan {
-                    Some(plan) => self.testbed.execute_with_faults(
-                        &g.dag,
-                        &schedule,
-                        run_seed,
-                        plan,
-                        &self.policy,
-                    ),
-                    None => self.testbed.execute(&g.dag, &schedule, run_seed),
-                };
-                match run {
-                    Ok(res) => {
-                        retries += res.total_retries();
-                        cell.real_runs.push(res.makespan);
-                    }
-                    Err(e) => {
-                        failed_runs += 1;
-                        first_error.get_or_insert_with(|| e.to_string());
-                    }
-                }
-            }
-        }
-        Self::fold_outcome(&mut cell, failed_runs, retries, dreport, first_error);
+        // Fresh executor slab and allocation engine — the reference
+        // semantics — which the warm-slab path must match bit for bit.
+        let reps = self.run_repeats(
+            &mut ExecSlab::new(),
+            &mut AllocationEngine::default(),
+            g,
+            variant,
+            algo,
+            &schedule,
+            repeats,
+            self.disturb.as_ref(),
+        );
+        Self::fold_outcome(&mut cell, reps);
         cell
     }
 
@@ -850,7 +769,7 @@ impl Harness {
     }
 
     /// [`Harness::run_one_caught`] with an explicit disturbance
-    /// configuration (see [`Harness::run_one_with_slab_disturb`]).
+    /// configuration (see [`Harness::run_one_with_slab`]).
     pub(crate) fn run_one_caught_disturb(
         &self,
         g: &GeneratedDag,
@@ -862,7 +781,7 @@ impl Harness {
         let start = std::time::Instant::now();
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             Self::with_worker_slab(|slab| {
-                self.run_one_with_slab_disturb(slab, g, variant, algo, repeats, disturb)
+                self.run_one_with_slab(slab, g, variant, algo, repeats, disturb)
             })
         })) {
             Ok(cell) => cell,

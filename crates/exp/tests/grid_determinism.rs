@@ -8,7 +8,10 @@
 //! These tests pin the batching contract: for any worker count, with or
 //! without a fault plan, the batched grid's `Debug` rendering — which
 //! round-trips every f64 bit — equals the reference rendering, and poison
-//! cells are quarantined without disturbing their neighbours.
+//! cells are quarantined without disturbing their neighbours. They also
+//! pin the full paper grid and the hazard grid (faults, retries,
+//! disturbances and rescue at once) to fixed hashes, the oracle any
+//! change to the executor must keep.
 
 use mps_core::faults::{DisturbancePlan, FaultPlan, RecoveryPolicy};
 use mps_core::platform::HostId;
@@ -87,9 +90,9 @@ fn batched_grid_matches_reference_under_a_fault_plan() {
 #[test]
 fn zero_intensity_disturbance_is_byte_identical_to_the_plain_grid() {
     // The determinism guard for the disturbance subsystem: an intensity-0
-    // plan generates no events, `with_disturbance` drops it entirely, and
-    // the grid takes the exact pre-disturbance code path — byte-identical
-    // to a harness that never heard of disturbances, at any worker count.
+    // plan generates no events and `with_disturbance` drops it entirely,
+    // so the grid is byte-identical to a harness that never heard of
+    // disturbances, at any worker count.
     let plain = Harness::new(2011);
     let reference = render(&reference_cells(&plain, TAKE, REPEATS));
     let zero = Harness::new(2011).with_disturbance(DisturbConfig::new(
@@ -144,4 +147,56 @@ fn poison_cells_are_quarantined_without_disturbing_neighbours() {
         }
         assert_eq!(crashed, 1, "exactly one cell should match the poison rule");
     }
+}
+
+/// FNV-1a-64 over the grid's `Debug` rendering: one number for every f64
+/// bit of every cell.
+fn grid_hash(cells: &[CellResult]) -> u64 {
+    mps_core::journal::fnv64(render(cells).as_bytes())
+}
+
+#[test]
+fn the_paper_grid_hash_is_pinned() {
+    let h = Harness::new(2011);
+    for workers in [1, 2] {
+        let hash = grid_hash(&h.run_grid_with_workers(3, workers));
+        assert_eq!(
+            hash, 0xb0ec_1012_ae9a_fe8c,
+            "paper grid hashed {hash:016x} at workers={workers}"
+        );
+    }
+}
+
+#[test]
+fn the_hazard_grid_hash_and_health_are_pinned() {
+    // Random faults with retries plus timed disturbances under rescue:
+    // every recovery path of the executor runs somewhere in this grid.
+    let h = Harness::new(2011)
+        .with_fault_plan(FaultPlan::random(2011, 1.0, 32, 120.0))
+        .with_exec_policy(ExecPolicy {
+            max_retries: 6,
+            ..ExecPolicy::default()
+        })
+        .with_disturbance(DisturbConfig::new(
+            DisturbancePlan::with_intensity(2011, 1.0),
+            RecoveryPolicy::Rescue,
+        ));
+    let cells = h.run_grid_with_workers(3, 2);
+    let hash = grid_hash(&cells);
+    assert_eq!(
+        hash, 0x5caa_d507_7ba8_cc81,
+        "hazard grid hashed {hash:016x}"
+    );
+    let health = mps_exp::grid_health(&cells);
+    assert_eq!(
+        (
+            health.disturbed,
+            health.rescues,
+            health.rescued_tasks,
+            health.crashes,
+            health.retries
+        ),
+        (322, 372, 874, 551, 1176),
+        "{health:?}"
+    );
 }

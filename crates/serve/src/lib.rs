@@ -90,6 +90,12 @@ pub enum ServeError {
         /// The read deadline that expired, in milliseconds.
         timeout_ms: u64,
     },
+    /// A live daemon already answers on the socket path: a probe connect
+    /// succeeded, so the path is left alone.
+    AddrInUse {
+        /// The socket path.
+        socket: String,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -112,6 +118,9 @@ impl std::fmt::Display for ServeError {
             ServeError::Backend { reason } => write!(f, "backend error: {reason}"),
             ServeError::ClientStalled { timeout_ms } => {
                 write!(f, "client stalled: no frame within {timeout_ms}ms")
+            }
+            ServeError::AddrInUse { socket } => {
+                write!(f, "socket {socket} is in use by a live daemon")
             }
         }
     }

@@ -143,6 +143,38 @@ fn send(reply: &Reply, frame: &ServerFrame) -> Result<(), ServeError> {
     send_msg(&mut **w, frame)
 }
 
+/// Makes `socket` free to bind. A socket file that accepts a probe
+/// connection belongs to a live daemon and fails typed; one that refuses
+/// is stale (its daemon crashed) and is removed. Anything else at the
+/// path is left for `bind` to reject.
+#[cfg(unix)]
+fn claim_socket(socket: &std::path::Path) -> Result<(), ServeError> {
+    use std::os::unix::fs::FileTypeExt;
+
+    let Ok(meta) = std::fs::symlink_metadata(socket) else {
+        return Ok(());
+    };
+    if !meta.file_type().is_socket() {
+        return Ok(());
+    }
+    if std::os::unix::net::UnixStream::connect(socket).is_ok() {
+        return Err(ServeError::AddrInUse {
+            socket: socket.display().to_string(),
+        });
+    }
+    std::fs::remove_file(socket).map_err(|e| ServeError::io("unlink-socket", e))
+}
+
+/// `(device, inode)` of the file at `path`, if any.
+#[cfg(unix)]
+fn file_identity(path: &std::path::Path) -> Option<(u64, u64)> {
+    use std::os::unix::fs::MetadataExt;
+
+    std::fs::symlink_metadata(path)
+        .ok()
+        .map(|m| (m.dev(), m.ino()))
+}
+
 /// Read wrapper that remembers whether the last failure was a read
 /// deadline expiring (`WouldBlock`/`TimedOut`), so the protocol loop can
 /// distinguish a *stalled* client from a torn frame: the transport error
@@ -380,11 +412,12 @@ impl Server {
                 }
                 Ok(Some(ClientFrame::Drain { id })) => {
                     // Stop admissions synchronously — once the ack is on
-                    // the wire, no later Submit can slip in — then nudge
-                    // the accept loop to begin the shutdown.
+                    // the wire, no later Submit can slip in — then ack, and
+                    // only then nudge the accept loop to begin the
+                    // shutdown, which closes this connection.
                     self.queue.start_drain();
-                    self.drain_req.cancel();
                     let _ = send(reply, &ServerFrame::DrainStarted { id });
+                    self.drain_req.cancel();
                 }
                 // A duplicate handshake violates the protocol.
                 Ok(Some(ClientFrame::Hello { .. })) => {
@@ -441,17 +474,18 @@ impl Server {
     }
 
     /// Serves connections on a Unix-domain socket until a drain trigger
-    /// fires, then drains and returns. A stale socket file (from a
-    /// crashed daemon) is replaced; the socket is removed on exit.
+    /// fires, then drains and returns. A live daemon on the path fails
+    /// the call with [`ServeError::AddrInUse`]; a stale socket file (from
+    /// a crashed daemon) is replaced. On exit the socket is removed only
+    /// if it is still the one this call bound.
     #[cfg(unix)]
     pub fn run_unix(self: &Arc<Self>, socket: &std::path::Path) -> Result<ServerExit, ServeError> {
         use std::os::unix::net::UnixListener;
 
+        claim_socket(socket)?;
         self.recover_startup()?;
-        if socket.exists() {
-            std::fs::remove_file(socket).map_err(|e| ServeError::io("unlink-socket", e))?;
-        }
         let listener = UnixListener::bind(socket).map_err(|e| ServeError::io("bind", e))?;
+        let bound = file_identity(socket);
         listener
             .set_nonblocking(true)
             .map_err(|e| ServeError::io("bind", e))?;
@@ -502,7 +536,9 @@ impl Server {
         for c in self.conns.lock().unwrap().drain(..) {
             let _ = c.shutdown(std::net::Shutdown::Both);
         }
-        let _ = std::fs::remove_file(socket);
+        if bound.is_some() && file_identity(socket) == bound {
+            let _ = std::fs::remove_file(socket);
+        }
         Ok(self.exit(interrupted))
     }
 

@@ -327,3 +327,50 @@ fn draining_refuses_new_submissions() {
     assert_eq!(exit.served, 1);
     assert!(!exit.interrupted);
 }
+
+#[test]
+fn a_second_daemon_on_a_live_socket_fails_typed() {
+    let socket = socket_path("takeover");
+    let first = Server::new(
+        Arc::new(ToyBackend::new(Duration::ZERO)),
+        ServerConfig::default(),
+    );
+    let handle = start(&first, socket.clone());
+    let (mut client, _) = connect_unix(&socket, "first", Duration::from_secs(5)).unwrap();
+
+    // The path answers, so a second daemon must refuse it rather than
+    // unlink it, and must leave the file alone when it returns.
+    let second = Server::new(
+        Arc::new(ToyBackend::new(Duration::ZERO)),
+        ServerConfig::default(),
+    );
+    match second.run_unix(&socket) {
+        Err(ServeError::AddrInUse { socket: s }) => {
+            assert_eq!(s, socket.display().to_string());
+        }
+        other => panic!("expected AddrInUse, got {other:?}"),
+    }
+    assert!(socket.exists(), "the live daemon's socket survives");
+
+    // The first daemon keeps serving, on the open connection and on new
+    // ones.
+    let outcome = client
+        .request(
+            1,
+            &WorkRequest::SubsetGrid {
+                take: 2,
+                repeats: 1,
+                disturb: None,
+            },
+            None,
+            &mut |_, _| {},
+        )
+        .unwrap();
+    assert!(matches!(outcome, RequestOutcome::Done(_)), "{outcome:?}");
+    let (mut fresh, _) = connect_unix(&socket, "fresh", Duration::from_secs(5)).unwrap();
+    assert!(!fresh.health(2).unwrap().draining);
+    fresh.drain(3).unwrap();
+    let exit = handle.join().unwrap().unwrap();
+    assert_eq!(exit.served, 1);
+    assert!(!socket.exists(), "the daemon removes the socket it bound");
+}

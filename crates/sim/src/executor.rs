@@ -15,14 +15,24 @@
 //! Task startup overhead (JVM spawning) and redistribution protocol
 //! overhead (subnet-manager registration) are charged as fixed latencies;
 //! data transfers flow through the L07 network model and contend on links.
+//!
+//! There is one execution loop, [`execute_prevalidated`]. Both hazard
+//! models reach it: a [`FaultPlan`](mps_faults::FaultPlan) through
+//! [`ExecutionModel::fault_model`] (launch failures with retry/backoff,
+//! stragglers, launch-sampled slowdowns, degraded links), and a timed
+//! [`DisturbancePlan`] through [`DisturbSetup`] (crashes, slow and degrade
+//! windows, the recovery ladder). A healthy run is the same loop with no
+//! fault model and an empty plan, which fires nothing.
 
 use std::collections::HashMap;
 
 use mps_dag::{Dag, TaskId};
 use mps_des::{EngineError, Watchdog};
-use mps_faults::{FaultModel, TaskDisposition};
+use mps_faults::{
+    DisturbReport, Disturbance, DisturbancePlan, FaultModel, RecoveryPolicy, TaskDisposition,
+};
 use mps_kernels::{BlockDist1D, RedistPlan};
-use mps_l07::{L07Error, L07Sim, PTaskId, PTaskSpec};
+use mps_l07::{L07Error, L07Sim, PTaskCompletion, PTaskId, PTaskSpec};
 use mps_platform::{Cluster, HostId};
 use mps_sched::Schedule;
 
@@ -59,11 +69,12 @@ pub trait ExecutionModel {
 
     /// The fault environment this model executes under, if any.
     ///
-    /// `None` (the default) means a healthy machine: the executor takes
-    /// exactly the pre-fault code path, consulting the model once per task
-    /// and per edge. Implementations that emulate an unreliable
-    /// environment (see `mps-testbed`) return a [`FaultModel`], and the
-    /// executor consults it at every launch attempt and redistribution.
+    /// `None` (the default) means a healthy machine: every launch runs at
+    /// full speed and links carry their nominal bytes, so the executor
+    /// consults the model once per task and per edge. Implementations
+    /// that emulate an unreliable environment (see `mps-testbed`) return a
+    /// [`FaultModel`], and the executor consults it at every launch
+    /// attempt and redistribution.
     fn fault_model(&mut self) -> Option<&mut dyn FaultModel> {
         None
     }
@@ -232,6 +243,41 @@ impl<M: ExecutionModel> ExecutionModel for FaultyExecution<M> {
     }
 }
 
+/// Configuration of the timed platform disturbances one execution runs
+/// under.
+pub struct DisturbSetup<'a> {
+    /// The scripted platform disturbances.
+    pub plan: &'a DisturbancePlan,
+    /// Reaction to crashes that strand unfinished tasks.
+    pub recovery: RecoveryPolicy,
+    /// Simulated seconds charged to every re-planned task before it may
+    /// relaunch — the re-plan's cost, accounted as virtual time.
+    pub rescue_overhead: f64,
+    /// Under [`RecoveryPolicy::Rescue`], produces a replacement schedule
+    /// over the surviving hosts (in *original* host-id space, placed only
+    /// on the given survivors). `None` / a `None` return fails the
+    /// execution typed.
+    #[allow(clippy::type_complexity)]
+    pub replan: Option<&'a mut dyn FnMut(&[HostId]) -> Option<Schedule>>,
+}
+
+impl DisturbSetup<'_> {
+    /// An undisturbed platform: the empty plan, which fires nothing, so
+    /// the recovery settings are never consulted.
+    pub fn none() -> Self {
+        static EMPTY: DisturbancePlan = DisturbancePlan {
+            seed: 0,
+            events: Vec::new(),
+        };
+        DisturbSetup {
+            plan: &EMPTY,
+            recovery: RecoveryPolicy::FailFast,
+            rescue_overhead: 0.0,
+            replan: None,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TaskState {
     Waiting,
@@ -253,34 +299,176 @@ enum Meaning {
     },
 }
 
+/// One expanded plan boundary: the instant an event starts or stops
+/// affecting the platform.
+#[derive(Debug, Clone, Copy)]
+struct Boundary {
+    time: f64,
+    event: usize,
+    opening: bool,
+}
+
+/// The live simulator activities of one run. Activity ids count up
+/// densely from zero within a run, so Vecs indexed by
+/// [`PTaskId::index`] replace a hash map.
+#[derive(Debug, Default)]
+struct InFlight {
+    meaning: Vec<Option<Meaning>>,
+    ids: Vec<PTaskId>,
+}
+
+impl InFlight {
+    fn clear(&mut self) {
+        self.meaning.clear();
+        self.ids.clear();
+    }
+
+    fn insert(&mut self, id: PTaskId, m: Meaning) {
+        let idx = id.index();
+        debug_assert_eq!(idx, self.meaning.len(), "activity ids must be dense");
+        if idx >= self.meaning.len() {
+            self.meaning.resize(idx + 1, None);
+            self.ids.resize(idx + 1, id);
+        }
+        self.meaning[idx] = Some(m);
+        self.ids[idx] = id;
+    }
+
+    /// Removes and returns the meaning of a completed activity.
+    fn take(&mut self, id: PTaskId) -> Option<Meaning> {
+        self.meaning.get_mut(id.index()).and_then(Option::take)
+    }
+
+    /// Cancels every live activity `hit` selects.
+    fn cancel_where(&mut self, sim: &mut L07Sim, mut hit: impl FnMut(Meaning) -> bool) {
+        for idx in 0..self.meaning.len() {
+            if let Some(m) = self.meaning[idx] {
+                if hit(m) {
+                    sim.cancel(self.ids[idx]);
+                    self.meaning[idx] = None;
+                }
+            }
+        }
+    }
+}
+
+/// Per-run bookkeeping of the execution loop. Repair under a crash
+/// rewrites placements, order and queues, so they live here rather than
+/// being read off the schedule.
+#[derive(Debug, Default)]
+struct RunState {
+    placements: Vec<Vec<HostId>>,
+    /// Dispatch order (the schedule's, until a rescue replaces it).
+    order: Vec<TaskId>,
+    /// Per-host task queues in dispatch order.
+    queue: Vec<Vec<TaskId>>,
+    queue_head: Vec<usize>,
+    /// Incoming redistributions still pending per task.
+    pending: Vec<usize>,
+    state: Vec<TaskState>,
+    spans: Vec<(f64, f64)>,
+    attempts: Vec<u32>,
+    launched: Vec<bool>,
+    /// Earliest launch of a re-planned task (the rescue overhead).
+    gate: Vec<f64>,
+    crashed: Vec<bool>,
+    in_flight: InFlight,
+    boundaries: Vec<Boundary>,
+    src_idx: Vec<usize>,
+    dst_idx: Vec<usize>,
+}
+
+/// Clears `v` (keeping capacity) and refills it with `len` copies of `x`.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, x: T) {
+    v.clear();
+    v.resize(len, x);
+}
+
+/// Clears every inner vector (keeping capacity) and sets the outer length.
+fn reset_nested<T>(v: &mut Vec<Vec<T>>, len: usize) {
+    for inner in v.iter_mut() {
+        inner.clear();
+    }
+    v.resize_with(len, Vec::new);
+}
+
+impl RunState {
+    fn reset(&mut self, dag: &Dag, n_hosts: usize, schedule: &Schedule, plan: &DisturbancePlan) {
+        let n_tasks = dag.len();
+        reset_nested(&mut self.placements, n_tasks);
+        reset_nested(&mut self.queue, n_hosts);
+        self.order.clear();
+        for st in &schedule.tasks {
+            self.placements[st.task.index()].extend_from_slice(&st.hosts);
+            self.order.push(st.task);
+            for h in &st.hosts {
+                self.queue[h.index()].push(st.task);
+            }
+        }
+        refill(&mut self.queue_head, n_hosts, 0);
+        self.pending.clear();
+        self.pending
+            .extend(dag.task_ids().map(|t| dag.predecessors(t).len()));
+        refill(&mut self.state, n_tasks, TaskState::Waiting);
+        // Handed to the result, so allocated fresh.
+        self.spans = vec![(0.0, 0.0); n_tasks];
+        self.attempts = vec![0; n_tasks];
+        refill(&mut self.launched, n_tasks, false);
+        refill(&mut self.gate, n_tasks, 0.0);
+        refill(&mut self.crashed, n_hosts, false);
+        self.in_flight.clear();
+
+        // Expand the plan into time-ordered boundaries.
+        self.boundaries.clear();
+        for (i, e) in plan.events.iter().enumerate() {
+            let (from, to) = match *e {
+                Disturbance::Crash { at, .. } => (at, None),
+                Disturbance::Slow { from, to, .. } | Disturbance::Degrade { from, to, .. } => {
+                    (from, Some(to))
+                }
+            };
+            self.boundaries.push(Boundary {
+                time: from,
+                event: i,
+                opening: true,
+            });
+            if let Some(to) = to {
+                self.boundaries.push(Boundary {
+                    time: to,
+                    event: i,
+                    opening: false,
+                });
+            }
+        }
+        self.boundaries.sort_by(|a, b| {
+            a.time
+                .total_cmp(&b.time)
+                .then(a.opening.cmp(&b.opening))
+                .then(a.event.cmp(&b.event))
+        });
+    }
+}
+
 /// Reusable executor state: the L07 simulator plus every per-run buffer,
 /// kept warm across executions.
 ///
 /// Building a fresh [`L07Sim`] (cluster clone + ~100 DES resources) and
 /// re-allocating queue/state vectors per execution dominates short runs.
 /// A slab amortizes all of it: the simulator is [`L07Sim::reset`] between
-/// runs (bit-identical to a fresh build), buffers keep their capacity, and
-/// redistribution plans — a pure function of `(n, p_src, p_dst)` for the
-/// vanilla block distributions the executor uses — are memoized.
+/// runs (bit-identical to a fresh build), the loop's bookkeeping is reset
+/// in place and keeps its capacity, and redistribution plans — a pure
+/// function of `(n, p_src, p_dst)` for the vanilla block distributions the
+/// executor uses — are memoized.
 ///
-/// Results are byte-identical to the slab-free path for any sequence of
+/// Results are byte-identical to a fresh slab for any sequence of
 /// executions; a slab is plain reusable scratch, not a semantic cache.
 #[derive(Debug, Default)]
 pub struct ExecSlab {
     /// Rebuilt only when the cluster changes between runs.
     sim: Option<L07Sim>,
-    hosts_of: Vec<Vec<HostId>>,
-    queue: Vec<Vec<TaskId>>,
-    queue_head: Vec<usize>,
-    pending_redists: Vec<usize>,
-    state: Vec<TaskState>,
-    launched: Vec<bool>,
-    /// Dense activity-id → meaning map: ids restart at zero every run.
-    in_flight: Vec<Option<Meaning>>,
-    completions: Vec<mps_l07::PTaskCompletion>,
-    src_idx: Vec<usize>,
-    dst_idx: Vec<usize>,
     plan_cache: HashMap<(usize, usize, usize), RedistPlan>,
+    completions: Vec<PTaskCompletion>,
+    run_state: RunState,
 }
 
 impl ExecSlab {
@@ -290,12 +478,16 @@ impl ExecSlab {
     }
 }
 
-/// Clears every inner vector (keeping capacity) and sets the outer length.
-fn reset_nested<T>(v: &mut Vec<Vec<T>>, len: usize) {
-    for inner in v.iter_mut() {
-        inner.clear();
-    }
-    v.resize_with(len, Vec::new);
+/// Checks `schedule` against `dag` and `cluster`, as the validating entry
+/// points do before executing.
+pub fn validate_schedule(
+    dag: &Dag,
+    cluster: &Cluster,
+    schedule: &Schedule,
+) -> Result<(), ExecError> {
+    schedule
+        .validate(dag, cluster)
+        .map_err(|e| ExecError::InvalidSchedule(e.to_string()))
 }
 
 /// Executes `schedule` for `dag` on `cluster` under `model` with the
@@ -309,7 +501,8 @@ pub fn execute(
     execute_with_policy(dag, cluster, schedule, model, &ExecPolicy::default())
 }
 
-/// Executes `schedule` for `dag` on `cluster` under `model` and `policy`.
+/// Validates, then executes `schedule` for `dag` on `cluster` under
+/// `model` and `policy` on an undisturbed platform, with a fresh slab.
 ///
 /// When `model` exposes a [`FaultModel`], every task-launch attempt is
 /// first submitted to it: a failed attempt charges the startup overhead
@@ -325,580 +518,30 @@ pub fn execute_with_policy(
     model: &mut dyn ExecutionModel,
     policy: &ExecPolicy,
 ) -> Result<ExecutionResult, ExecError> {
-    let mut slab = ExecSlab::new();
-    execute_with_slab(&mut slab, dag, cluster, schedule, model, policy)
-}
-
-/// [`execute_with_policy`] reusing `slab`'s simulator and buffers.
-pub fn execute_with_slab(
-    slab: &mut ExecSlab,
-    dag: &Dag,
-    cluster: &Cluster,
-    schedule: &Schedule,
-    model: &mut dyn ExecutionModel,
-    policy: &ExecPolicy,
-) -> Result<ExecutionResult, ExecError> {
-    schedule
-        .validate(dag, cluster)
-        .map_err(|e| ExecError::InvalidSchedule(e.to_string()))?;
-    execute_with_slab_prevalidated(slab, dag, cluster, schedule, model, policy)
-}
-
-/// [`execute_with_slab`] minus the schedule validation pass.
-///
-/// The caller promises `schedule.validate(dag, cluster)` holds — e.g. the
-/// schedule came straight from a scheduler, or one validation covers many
-/// executions of the same schedule (the harness runs each schedule once in
-/// the simulator and three times on the testbed).
-pub fn execute_with_slab_prevalidated(
-    slab: &mut ExecSlab,
-    dag: &Dag,
-    cluster: &Cluster,
-    schedule: &Schedule,
-    model: &mut dyn ExecutionModel,
-    policy: &ExecPolicy,
-) -> Result<ExecutionResult, ExecError> {
-    let n_tasks = dag.len();
-    if n_tasks == 0 {
-        return Ok(ExecutionResult {
-            makespan: 0.0,
-            task_spans: Vec::new(),
-            task_retries: Vec::new(),
-        });
-    }
-
-    let ExecSlab {
-        sim: sim_slot,
-        hosts_of,
-        queue,
-        queue_head,
-        pending_redists,
-        state,
-        launched,
-        in_flight,
-        completions,
-        src_idx,
-        dst_idx,
-        plan_cache,
-    } = slab;
-
-    let rebuild = match sim_slot {
-        Some(s) => s.cluster() != cluster,
-        None => true,
-    };
-    if rebuild {
-        *sim_slot = Some(L07Sim::new(cluster.clone()));
-    } else {
-        sim_slot.as_mut().expect("checked above").reset();
-    }
-    let sim = sim_slot.as_mut().expect("just ensured");
-    sim.set_watchdog(policy.watchdog);
-
-    // Placement lookup.
-    reset_nested(hosts_of, n_tasks);
-    for st in &schedule.tasks {
-        hosts_of[st.task.index()].extend_from_slice(&st.hosts);
-    }
-
-    // Per-host task queues in schedule order.
-    let n_hosts = cluster.node_count();
-    reset_nested(queue, n_hosts);
-    for st in &schedule.tasks {
-        for h in &st.hosts {
-            queue[h.index()].push(st.task);
-        }
-    }
-    queue_head.clear();
-    queue_head.resize(n_hosts, 0);
-
-    // Incoming redistributions still pending per task.
-    pending_redists.clear();
-    pending_redists.extend(dag.task_ids().map(|t| dag.predecessors(t).len()));
-
-    state.clear();
-    state.resize(n_tasks, TaskState::Waiting);
-    let mut spans = vec![(0.0_f64, 0.0_f64); n_tasks];
-    let mut attempts = vec![0u32; n_tasks];
-    launched.clear();
-    launched.resize(n_tasks, false);
-    let mut done_count = 0usize;
-
-    // Maps in-flight simulator activities to what they mean. Activity ids
-    // count up densely from zero within a run, so a Vec indexed by
-    // [`PTaskId::index`] replaces a hash map.
-    in_flight.clear();
-    fn insert_in_flight(in_flight: &mut Vec<Option<Meaning>>, id: PTaskId, m: Meaning) {
-        let idx = id.index();
-        debug_assert_eq!(idx, in_flight.len(), "activity ids must be dense");
-        if idx >= in_flight.len() {
-            in_flight.resize(idx + 1, None);
-        }
-        in_flight[idx] = Some(m);
-    }
-
-    // Tries to start every eligible waiting task. Returns how many started.
-    let try_start = |sim: &mut L07Sim,
-                     in_flight: &mut Vec<Option<Meaning>>,
-                     state: &mut Vec<TaskState>,
-                     spans: &mut Vec<(f64, f64)>,
-                     attempts: &mut Vec<u32>,
-                     launched: &mut Vec<bool>,
-                     queue_head: &[usize],
-                     pending_redists: &[usize],
-                     model: &mut dyn ExecutionModel|
-     -> Result<usize, ExecError> {
-        let mut started = 0;
-        for st in &schedule.tasks {
-            let t = st.task;
-            if state[t.index()] != TaskState::Waiting {
-                continue;
-            }
-            if pending_redists[t.index()] > 0 {
-                continue;
-            }
-            let at_head = st
-                .hosts
-                .iter()
-                .all(|h| queue[h.index()].get(queue_head[h.index()]) == Some(&t));
-            if !at_head {
-                continue;
-            }
-            // Launch: startup latency + execution. Every attempt —
-            // successful or not — pays the startup overhead.
-            let kernel = dag.task(t).kernel;
-            let p = st.hosts.len();
-            let startup = model.startup_overhead(t, p);
-            if !launched[t.index()] {
-                launched[t.index()] = true;
-                spans[t.index()].0 = sim.now();
-            }
-            let disposition = match model.fault_model() {
-                Some(fm) => fm.task_disposition(t, &st.hosts, attempts[t.index()], sim.now()),
-                None => TaskDisposition::Run { slowdown: 1.0 },
-            };
-            let slowdown = match disposition {
-                TaskDisposition::Fail { retry_after } => {
-                    let attempt = attempts[t.index()];
-                    if attempt >= policy.max_retries {
-                        return Err(ExecError::TaskFailed {
-                            task: t,
-                            attempts: attempt + 1,
-                        });
-                    }
-                    attempts[t.index()] = attempt + 1;
-                    // The failed attempt is charged as simulated time: its
-                    // startup overhead plus the backoff wait (or the time
-                    // until a crashed host recovers, whichever is longer).
-                    // The task's hosts stay claimed throughout.
-                    let backoff = (policy.backoff_base * 2.0_f64.powi(attempt as i32))
-                        .min(policy.backoff_cap);
-                    let mut spec =
-                        PTaskSpec::new().with_extra_latency(startup + backoff.max(retry_after));
-                    if sim.tracing_enabled() {
-                        spec = spec.with_label(format!("backoff-{}-{}", t.index(), attempt));
-                    }
-                    let id = sim.submit(spec)?;
-                    insert_in_flight(in_flight, id, Meaning::Backoff(t));
-                    state[t.index()] = TaskState::Backoff;
-                    continue;
-                }
-                TaskDisposition::Run { slowdown } => slowdown.max(1.0),
-            };
-            let mut spec = match model.task_execution(t, kernel, &st.hosts) {
-                TaskExecution::Analytic => {
-                    let flops = kernel.flops_per_proc(p) * slowdown;
-                    let comm = kernel.comm_matrix(p);
-                    PTaskSpec::compute(&st.hosts, &vec![flops; p])
-                        .with_comm_matrix(&st.hosts, &comm)
-                        .with_extra_latency(startup)
-                }
-                TaskExecution::Fixed(duration) => {
-                    PTaskSpec::new().with_extra_latency(startup + duration.max(0.0) * slowdown)
-                }
-            };
-            if sim.tracing_enabled() {
-                spec = spec.with_label(format!("task-{}", t.index()));
-            }
-            let id = sim.submit(spec)?;
-            insert_in_flight(in_flight, id, Meaning::TaskRun(t));
-            state[t.index()] = TaskState::Running;
-            started += 1;
-        }
-        Ok(started)
-    };
-
-    try_start(
-        sim,
-        in_flight,
-        state,
-        &mut spans,
-        &mut attempts,
-        launched,
-        queue_head,
-        pending_redists,
+    validate_schedule(dag, cluster, schedule)?;
+    execute_prevalidated(
+        &mut ExecSlab::new(),
+        dag,
+        cluster,
+        schedule,
         model,
-    )?;
-
-    completions.clear();
-    while done_count < n_tasks {
-        if !sim.next_completions_into(completions)? {
-            return Err(ExecError::Stalled {
-                unstarted: state.iter().filter(|&&s| s != TaskState::Done).count(),
-            });
-        }
-        for &c in completions.iter() {
-            match in_flight.get_mut(c.task.index()).and_then(Option::take) {
-                Some(Meaning::TaskRun(t)) => {
-                    state[t.index()] = TaskState::Done;
-                    spans[t.index()].1 = c.time;
-                    done_count += 1;
-                    // Release host queues.
-                    for h in &hosts_of[t.index()] {
-                        debug_assert_eq!(
-                            queue[h.index()][queue_head[h.index()]],
-                            t,
-                            "queue discipline violated"
-                        );
-                        queue_head[h.index()] += 1;
-                    }
-                    // Start redistributions to every successor. The plans
-                    // are pure functions of (n, p_src, p_dst) — both sides
-                    // always use vanilla block distributions — so they are
-                    // memoized in the slab.
-                    let src_hosts = &hosts_of[t.index()];
-                    let n = dag.task(t).kernel.n();
-                    for &succ in dag.successors(t) {
-                        let dst_hosts = &hosts_of[succ.index()];
-                        let plan = plan_cache
-                            .entry((n, src_hosts.len(), dst_hosts.len()))
-                            .or_insert_with(|| {
-                                RedistPlan::compute(
-                                    &BlockDist1D::vanilla(n, src_hosts.len()),
-                                    &BlockDist1D::vanilla(n, dst_hosts.len()),
-                                )
-                            });
-                        src_idx.clear();
-                        src_idx.extend(src_hosts.iter().map(|h| h.index()));
-                        dst_idx.clear();
-                        dst_idx.extend(dst_hosts.iter().map(|h| h.index()));
-                        let mut flows: Vec<(HostId, HostId, f64)> = plan
-                            .network_transfers(src_idx, dst_idx)
-                            .into_iter()
-                            .map(|(s, d, b)| (HostId(s), HostId(d), b))
-                            .collect();
-                        let mut overhead = model.redist_overhead(src_hosts.len(), dst_hosts.len());
-                        // Degraded links carry more effective bytes; the
-                        // protocol overhead stretches with the worst link.
-                        if let Some(fm) = model.fault_model() {
-                            let now = c.time;
-                            let mut worst = 1.0_f64;
-                            for (s, d, b) in &mut flows {
-                                let factor = fm.link_factor(*s, *d, now).max(1.0);
-                                *b *= factor;
-                                worst = worst.max(factor);
-                            }
-                            overhead *= worst;
-                        }
-                        let mut spec = PTaskSpec::transfers(flows).with_extra_latency(overhead);
-                        if sim.tracing_enabled() {
-                            spec =
-                                spec.with_label(format!("redist-{}-{}", t.index(), succ.index()));
-                        }
-                        let id = sim.submit(spec)?;
-                        insert_in_flight(in_flight, id, Meaning::Redist { src: t, succ });
-                    }
-                }
-                Some(Meaning::Backoff(t)) => {
-                    // Backoff elapsed: the task becomes eligible again and
-                    // re-attempts on the next dispatch pass (its hosts were
-                    // never released).
-                    state[t.index()] = TaskState::Waiting;
-                }
-                Some(Meaning::Redist { succ, .. }) => {
-                    pending_redists[succ.index()] -= 1;
-                }
-                None => unreachable!("unknown completion"),
-            }
-        }
-        try_start(
-            sim,
-            in_flight,
-            state,
-            &mut spans,
-            &mut attempts,
-            launched,
-            queue_head,
-            pending_redists,
-            model,
-        )?;
-    }
-
-    let makespan = spans.iter().map(|&(_, f)| f).fold(0.0_f64, f64::max);
-    Ok(ExecutionResult {
-        makespan,
-        task_spans: spans,
-        task_retries: attempts,
-    })
-}
-
-// ---- timed platform disturbances + reactive repair ---------------------
-
-use mps_faults::{DisturbReport, Disturbance, DisturbancePlan, RecoveryPolicy};
-
-/// Configuration of one disturbed execution.
-pub struct DisturbSetup<'a> {
-    /// The scripted platform disturbances.
-    pub plan: &'a DisturbancePlan,
-    /// Reaction to crashes that strand unfinished tasks.
-    pub recovery: RecoveryPolicy,
-    /// Simulated seconds charged to every re-planned task before it may
-    /// relaunch — the re-plan's cost, accounted as virtual time.
-    pub rescue_overhead: f64,
-    /// Under [`RecoveryPolicy::Rescue`], produces a replacement schedule
-    /// over the surviving hosts (in *original* host-id space, placed only
-    /// on the given survivors). `None` / a `None` return fails the
-    /// execution typed.
-    #[allow(clippy::type_complexity)]
-    pub replan: Option<&'a mut dyn FnMut(&[HostId]) -> Option<Schedule>>,
-}
-
-/// One expanded plan boundary: the instant an event starts or stops
-/// affecting the platform.
-#[derive(Debug, Clone, Copy)]
-struct Boundary {
-    time: f64,
-    event: usize,
-    opening: bool,
-}
-
-fn touches_crashed(hosts: &[HostId], crashed: &[bool]) -> bool {
-    hosts.iter().any(|h| crashed[h.index()])
-}
-
-/// Submits the redistribution for DAG edge `src → succ` using the tasks'
-/// *current* placements. Crashed source hosts are substituted by the
-/// source's first surviving host (the durable-replication assumption: a
-/// finished task's output can be re-served from any surviving rank); when
-/// no source host survives at all, the data re-materializes at the
-/// destination instantly and only the protocol overhead is charged.
-#[allow(clippy::too_many_arguments)]
-fn issue_redist(
-    sim: &mut L07Sim,
-    model: &mut dyn ExecutionModel,
-    plan_cache: &mut HashMap<(usize, usize, usize), RedistPlan>,
-    dag: &Dag,
-    placements: &[Vec<HostId>],
-    crashed: &[bool],
-    src: TaskId,
-    succ: TaskId,
-    in_flight: &mut Vec<Option<Meaning>>,
-    live_ids: &mut Vec<PTaskId>,
-) -> Result<(), ExecError> {
-    let src_hosts = &placements[src.index()];
-    let dst_hosts = &placements[succ.index()];
-    let n = dag.task(src).kernel.n();
-    let mut overhead = model.redist_overhead(src_hosts.len(), dst_hosts.len());
-    let replacement = src_hosts.iter().find(|h| !crashed[h.index()]).copied();
-    let mut spec = match replacement {
-        None if touches_crashed(src_hosts, crashed) => {
-            // Every source rank is gone: instantaneous re-materialization.
-            PTaskSpec::new().with_extra_latency(overhead)
-        }
-        _ => {
-            let plan = plan_cache
-                .entry((n, src_hosts.len(), dst_hosts.len()))
-                .or_insert_with(|| {
-                    RedistPlan::compute(
-                        &BlockDist1D::vanilla(n, src_hosts.len()),
-                        &BlockDist1D::vanilla(n, dst_hosts.len()),
-                    )
-                });
-            let src_idx: Vec<usize> = src_hosts
-                .iter()
-                .map(|h| {
-                    if crashed[h.index()] {
-                        replacement.expect("some source survives").index()
-                    } else {
-                        h.index()
-                    }
-                })
-                .collect();
-            let dst_idx: Vec<usize> = dst_hosts.iter().map(|h| h.index()).collect();
-            let mut flows: Vec<(HostId, HostId, f64)> = plan
-                .network_transfers(&src_idx, &dst_idx)
-                .into_iter()
-                .map(|(s, d, b)| (HostId(s), HostId(d), b))
-                .collect();
-            if let Some(fm) = model.fault_model() {
-                let now = sim.now();
-                let mut worst = 1.0_f64;
-                for (s, d, b) in &mut flows {
-                    let factor = fm.link_factor(*s, *d, now).max(1.0);
-                    *b *= factor;
-                    worst = worst.max(factor);
-                }
-                overhead *= worst;
-            }
-            PTaskSpec::transfers(flows).with_extra_latency(overhead)
-        }
-    };
-    if sim.tracing_enabled() {
-        spec = spec.with_label(format!("redist-{}-{}", src.index(), succ.index()));
-    }
-    let id = sim.submit(spec)?;
-    insert_live(in_flight, live_ids, id, Meaning::Redist { src, succ });
-    Ok(())
-}
-
-fn insert_live(
-    in_flight: &mut Vec<Option<Meaning>>,
-    live_ids: &mut Vec<PTaskId>,
-    id: PTaskId,
-    m: Meaning,
-) {
-    let idx = id.index();
-    debug_assert_eq!(idx, in_flight.len(), "activity ids must be dense");
-    if idx >= in_flight.len() {
-        in_flight.resize(idx + 1, None);
-        live_ids.resize(idx + 1, id);
-    }
-    in_flight[idx] = Some(m);
-    live_ids[idx] = id;
-}
-
-/// Launch pass for the disturbed executor. Mirrors the undisturbed
-/// `try_start` with three additions: placements and dispatch order live
-/// in mutable side tables (repair rewrites them), fixed-duration tasks
-/// sample the plan's compound slowdown of their hosts at launch (the same
-/// launch-sampled semantics `FaultPlan` node slowdowns use), and a
-/// re-planned task waits out its `gate` (the rescue overhead, as virtual
-/// time) before its attempt starts.
-#[allow(clippy::too_many_arguments)]
-fn try_start_disturbed(
-    sim: &mut L07Sim,
-    model: &mut dyn ExecutionModel,
-    policy: &ExecPolicy,
-    dag: &Dag,
-    plan: &DisturbancePlan,
-    order: &[TaskId],
-    placements: &[Vec<HostId>],
-    queue: &[Vec<TaskId>],
-    queue_head: &[usize],
-    pending: &[usize],
-    state: &mut [TaskState],
-    spans: &mut [(f64, f64)],
-    attempts: &mut [u32],
-    launched: &mut [bool],
-    gate: &[f64],
-    in_flight: &mut Vec<Option<Meaning>>,
-    live_ids: &mut Vec<PTaskId>,
-) -> Result<(), ExecError> {
-    let now = sim.now();
-    for &t in order {
-        if state[t.index()] != TaskState::Waiting {
-            continue;
-        }
-        if pending[t.index()] > 0 {
-            continue;
-        }
-        let hosts = &placements[t.index()];
-        let at_head = hosts
-            .iter()
-            .all(|h| queue[h.index()].get(queue_head[h.index()]) == Some(&t));
-        if !at_head {
-            continue;
-        }
-        let kernel = dag.task(t).kernel;
-        let p = hosts.len();
-        // A re-planned task first waits out its gate; every attempt also
-        // pays the startup overhead.
-        let startup = model.startup_overhead(t, p) + (gate[t.index()] - now).max(0.0);
-        if !launched[t.index()] {
-            launched[t.index()] = true;
-            spans[t.index()].0 = now;
-        }
-        let disposition = match model.fault_model() {
-            Some(fm) => fm.task_disposition(t, hosts, attempts[t.index()], now),
-            None => TaskDisposition::Run { slowdown: 1.0 },
-        };
-        let slowdown = match disposition {
-            TaskDisposition::Fail { retry_after } => {
-                let attempt = attempts[t.index()];
-                if attempt >= policy.max_retries {
-                    return Err(ExecError::TaskFailed {
-                        task: t,
-                        attempts: attempt + 1,
-                    });
-                }
-                attempts[t.index()] = attempt + 1;
-                let backoff =
-                    (policy.backoff_base * 2.0_f64.powi(attempt as i32)).min(policy.backoff_cap);
-                let mut spec =
-                    PTaskSpec::new().with_extra_latency(startup + backoff.max(retry_after));
-                if sim.tracing_enabled() {
-                    spec = spec.with_label(format!("backoff-{}-{}", t.index(), attempt));
-                }
-                let id = sim.submit(spec)?;
-                insert_live(in_flight, live_ids, id, Meaning::Backoff(t));
-                state[t.index()] = TaskState::Backoff;
-                continue;
-            }
-            TaskDisposition::Run { slowdown } => slowdown.max(1.0),
-        };
-        let mut spec = match model.task_execution(t, kernel, hosts) {
-            TaskExecution::Analytic => {
-                // Host slowdowns reach analytic tasks through the engine's
-                // scaled capacities — no launch-time factor here.
-                let flops = kernel.flops_per_proc(p) * slowdown;
-                let comm = kernel.comm_matrix(p);
-                PTaskSpec::compute(hosts, &vec![flops; p])
-                    .with_comm_matrix(hosts, &comm)
-                    .with_extra_latency(startup)
-            }
-            TaskExecution::Fixed(duration) => {
-                let disturb_factor = hosts
-                    .iter()
-                    .map(|h| plan.slow_factor(h.index(), now))
-                    .fold(1.0, f64::max);
-                PTaskSpec::new()
-                    .with_extra_latency(startup + duration.max(0.0) * slowdown * disturb_factor)
-            }
-        };
-        if sim.tracing_enabled() {
-            spec = spec.with_label(format!("task-{}", t.index()));
-        }
-        let id = sim.submit(spec)?;
-        insert_live(in_flight, live_ids, id, Meaning::TaskRun(t));
-        state[t.index()] = TaskState::Running;
-    }
-    Ok(())
-}
-
-/// Executes `schedule` under a timed [`DisturbancePlan`], validating it
-/// first. See [`execute_disturbed_with_slab_prevalidated`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_disturbed_with_slab(
-    slab: &mut ExecSlab,
-    dag: &Dag,
-    cluster: &Cluster,
-    schedule: &Schedule,
-    model: &mut dyn ExecutionModel,
-    policy: &ExecPolicy,
-    setup: DisturbSetup<'_>,
-    report: &mut DisturbReport,
-) -> Result<ExecutionResult, ExecError> {
-    schedule
-        .validate(dag, cluster)
-        .map_err(|e| ExecError::InvalidSchedule(e.to_string()))?;
-    execute_disturbed_with_slab_prevalidated(
-        slab, dag, cluster, schedule, model, policy, setup, report,
+        policy,
+        DisturbSetup::none(),
+        &mut DisturbReport::default(),
     )
 }
 
-/// Executes `schedule` while the platform is disturbed per `setup.plan`,
-/// reacting to crashes with `setup.recovery`.
+/// Executes `schedule` on `slab`'s warm simulator while the platform is
+/// disturbed per `setup.plan`, reacting to crashes with `setup.recovery`
+/// and to `model`'s fault environment (see [`execute_with_policy`]) with
+/// `policy`. A healthy run passes [`DisturbSetup::none`].
 ///
-/// Mechanics:
+/// The caller promises `validate_schedule(dag, cluster, schedule)` holds —
+/// e.g. the schedule came straight from a scheduler, or one validation
+/// covers many executions of the same schedule (the harness runs each
+/// schedule once in the simulator and three times on the testbed).
+///
+/// Disturbance mechanics:
 ///
 /// * every plan boundary (crash instant, window start/end) becomes an
 ///   engine timer, so the simulator observably stops exactly there;
@@ -920,13 +563,9 @@ pub fn execute_disturbed_with_slab(
 ///
 /// `report` accrues fired-event and recovery counters even when the
 /// execution fails, so callers can assert "failed typed *because* a
-/// disturbance fired".
-///
-/// With an empty plan this path is step-for-step identical to
-/// [`execute_with_slab_prevalidated`]; callers preserving the repo's
-/// bit-identity contract route empty plans to that function anyway.
+/// disturbance fired". An empty plan sets no timer and fires nothing.
 #[allow(clippy::too_many_arguments)]
-pub fn execute_disturbed_with_slab_prevalidated(
+pub fn execute_prevalidated(
     slab: &mut ExecSlab,
     dag: &Dag,
     cluster: &Cluster,
@@ -944,410 +583,522 @@ pub fn execute_disturbed_with_slab_prevalidated(
             task_retries: Vec::new(),
         });
     }
-    let plan = setup.plan;
 
-    // The slab contributes its warm simulator and the redist-plan memo;
-    // the bookkeeping below is owned, since repair rewrites it wholesale.
-    let rebuild = match &slab.sim {
+    let ExecSlab {
+        sim: sim_slot,
+        plan_cache,
+        completions,
+        run_state,
+    } = slab;
+    let rebuild = match sim_slot {
         Some(s) => s.cluster() != cluster,
         None => true,
     };
     if rebuild {
-        slab.sim = Some(L07Sim::new(cluster.clone()));
+        *sim_slot = Some(L07Sim::new(cluster.clone()));
     } else {
-        slab.sim.as_mut().expect("checked above").reset();
+        sim_slot.as_mut().expect("checked above").reset();
     }
-    let sim = slab.sim.as_mut().expect("just ensured");
+    let sim = sim_slot.as_mut().expect("just ensured");
     sim.set_watchdog(policy.watchdog);
-    let plan_cache = &mut slab.plan_cache;
 
-    let n_hosts = cluster.node_count();
-    let mut placements: Vec<Vec<HostId>> = vec![Vec::new(); n_tasks];
-    for st in &schedule.tasks {
-        placements[st.task.index()] = st.hosts.clone();
-    }
-    let mut order: Vec<TaskId> = schedule.tasks.iter().map(|st| st.task).collect();
-    let mut queue: Vec<Vec<TaskId>> = vec![Vec::new(); n_hosts];
-    for &t in &order {
-        for h in &placements[t.index()] {
-            queue[h.index()].push(t);
-        }
-    }
-    let mut queue_head = vec![0usize; n_hosts];
-    let mut pending: Vec<usize> = dag.task_ids().map(|t| dag.predecessors(t).len()).collect();
-    let mut arrived = vec![0usize; n_tasks];
-    let mut state = vec![TaskState::Waiting; n_tasks];
-    let mut spans = vec![(0.0_f64, 0.0_f64); n_tasks];
-    let mut attempts = vec![0u32; n_tasks];
-    let mut launched = vec![false; n_tasks];
-    let mut gate = vec![0.0_f64; n_tasks];
-    let mut in_flight: Vec<Option<Meaning>> = Vec::new();
-    let mut live_ids: Vec<PTaskId> = Vec::new();
-    let mut crashed = vec![false; n_hosts];
-    let mut done_count = 0usize;
-    let mut completions: Vec<mps_l07::PTaskCompletion> = Vec::new();
-
-    // Expand the plan into time-ordered boundaries and pin an engine
-    // timer at each, so steps land exactly on disturbance instants.
-    let mut boundaries: Vec<Boundary> = Vec::new();
-    for (i, e) in plan.events.iter().enumerate() {
-        match *e {
-            Disturbance::Crash { at, .. } => boundaries.push(Boundary {
-                time: at,
-                event: i,
-                opening: true,
-            }),
-            Disturbance::Slow { from, to, .. } | Disturbance::Degrade { from, to, .. } => {
-                boundaries.push(Boundary {
-                    time: from,
-                    event: i,
-                    opening: true,
-                });
-                boundaries.push(Boundary {
-                    time: to,
-                    event: i,
-                    opening: false,
-                });
-            }
-        }
-    }
-    boundaries.sort_by(|a, b| {
-        a.time
-            .total_cmp(&b.time)
-            .then(a.opening.cmp(&b.opening))
-            .then(a.event.cmp(&b.event))
-    });
-    for b in &boundaries {
+    run_state.reset(dag, cluster.node_count(), schedule, setup.plan);
+    // Pin an engine timer at each boundary, so steps land exactly on
+    // disturbance instants.
+    for b in &run_state.boundaries {
         if b.time > 0.0 {
             sim.schedule_timer(b.time)?;
         }
     }
+    let mut run = Run {
+        sim,
+        model,
+        plan_cache,
+        dag,
+        policy,
+        plan: setup.plan,
+        st: run_state,
+    };
     let mut next_boundary = 0usize;
-
-    let mut first = true;
-    while done_count < n_tasks {
-        if !first {
-            if !sim.next_completions_into(&mut completions)? {
-                return Err(ExecError::Stalled {
-                    unstarted: state.iter().filter(|&&s| s != TaskState::Done).count(),
-                });
-            }
-            for &c in completions.iter() {
-                match in_flight.get_mut(c.task.index()).and_then(Option::take) {
-                    Some(Meaning::TaskRun(t)) => {
-                        state[t.index()] = TaskState::Done;
-                        spans[t.index()].1 = c.time;
-                        done_count += 1;
-                        for h in &placements[t.index()] {
-                            debug_assert_eq!(
-                                queue[h.index()][queue_head[h.index()]],
-                                t,
-                                "queue discipline violated"
-                            );
-                            queue_head[h.index()] += 1;
-                        }
-                        for &succ in dag.successors(t) {
-                            issue_redist(
-                                sim,
-                                model,
-                                plan_cache,
-                                dag,
-                                &placements,
-                                &crashed,
-                                t,
-                                succ,
-                                &mut in_flight,
-                                &mut live_ids,
-                            )?;
-                        }
-                    }
-                    Some(Meaning::Backoff(t)) => {
-                        state[t.index()] = TaskState::Waiting;
-                    }
-                    Some(Meaning::Redist { succ, .. }) => {
-                        pending[succ.index()] -= 1;
-                        arrived[succ.index()] += 1;
-                    }
-                    None => unreachable!("unknown completion"),
-                }
-            }
-            if done_count == n_tasks {
+    let mut done_count = 0usize;
+    loop {
+        // Apply every boundary due at (or before) the current instant,
+        // then launch whatever became eligible.
+        let now = run.sim.now();
+        while let Some(&b) = run.st.boundaries.get(next_boundary) {
+            if b.time > now + 1e-9 {
                 break;
             }
-        }
-        first = false;
-
-        // Apply every boundary due at (or before) the current instant.
-        let now = sim.now();
-        while next_boundary < boundaries.len() && boundaries[next_boundary].time <= now + 1e-9 {
-            let b = boundaries[next_boundary];
             next_boundary += 1;
-            match plan.events[b.event] {
-                Disturbance::Slow { host, .. } => {
-                    if b.opening {
-                        report.slows += 1;
-                    }
-                    if host < n_hosts {
-                        sim.set_host_factor(HostId(host), plan.slow_factor(host, now).max(1.0))?;
-                    }
+            run.apply_boundary(b, now, &mut setup, report)?;
+        }
+        run.try_start()?;
+
+        if !run.sim.next_completions_into(completions)? {
+            return Err(ExecError::Stalled {
+                unstarted: run
+                    .st
+                    .state
+                    .iter()
+                    .filter(|&&s| s != TaskState::Done)
+                    .count(),
+            });
+        }
+        for &c in completions.iter() {
+            match run.st.in_flight.take(c.task) {
+                Some(Meaning::TaskRun(t)) => {
+                    run.finish(t, c.time)?;
+                    done_count += 1;
                 }
-                Disturbance::Degrade { link, .. } => {
-                    if b.opening {
-                        report.degrades += 1;
-                    }
-                    if link < n_hosts {
-                        sim.set_link_factor(HostId(link), plan.link_factor(link, now).max(1.0))?;
-                    }
+                Some(Meaning::Backoff(t)) => {
+                    // Backoff elapsed: the task becomes eligible again and
+                    // re-attempts on the next launch pass (its hosts were
+                    // never released).
+                    run.st.state[t.index()] = TaskState::Waiting;
                 }
-                Disturbance::Crash { host, .. } => {
-                    if host >= n_hosts || crashed[host] {
-                        continue;
-                    }
-                    crashed[host] = true;
-                    report.crashes += 1;
-                    sim.crash_host(HostId(host))?;
-
-                    // Who is stranded: unfinished tasks placed on a dead
-                    // host, plus in-flight redistributions whose endpoints
-                    // touch one.
-                    let affected: Vec<TaskId> = order
-                        .iter()
-                        .copied()
-                        .filter(|t| {
-                            state[t.index()] != TaskState::Done
-                                && touches_crashed(&placements[t.index()], &crashed)
-                        })
-                        .collect();
-                    let mut cancelled_redists: Vec<(TaskId, TaskId)> = Vec::new();
-                    for idx in 0..in_flight.len() {
-                        let cancel = match in_flight[idx] {
-                            Some(Meaning::TaskRun(t)) | Some(Meaning::Backoff(t)) => {
-                                touches_crashed(&placements[t.index()], &crashed).then(|| {
-                                    state[t.index()] = TaskState::Waiting;
-                                    attempts[t.index()] += 1;
-                                })
-                            }
-                            Some(Meaning::Redist { src, succ }) => {
-                                (touches_crashed(&placements[src.index()], &crashed)
-                                    || touches_crashed(&placements[succ.index()], &crashed))
-                                .then(|| {
-                                    cancelled_redists.push((src, succ));
-                                })
-                            }
-                            None => None,
-                        };
-                        if cancel.is_some() {
-                            sim.cancel(live_ids[idx]);
-                            in_flight[idx] = None;
-                        }
-                    }
-                    if affected.is_empty() && cancelled_redists.is_empty() {
-                        continue;
-                    }
-
-                    let survivors: Vec<HostId> =
-                        (0..n_hosts).filter(|&h| !crashed[h]).map(HostId).collect();
-                    let failed = || ExecError::HostFailed {
-                        host: HostId(host),
-                        stranded: affected.len(),
-                    };
-                    if survivors.is_empty() || setup.recovery == RecoveryPolicy::FailFast {
-                        return Err(failed());
-                    }
-
-                    // Repair placements (and, under Rescue, the order).
-                    let mut changed = vec![false; n_tasks];
-                    match setup.recovery {
-                        RecoveryPolicy::FailFast => unreachable!("handled above"),
-                        RecoveryPolicy::RetryElsewhere => {
-                            for &t in &affected {
-                                let old = &placements[t.index()];
-                                let mut keep: Vec<HostId> = old
-                                    .iter()
-                                    .copied()
-                                    .filter(|h| !crashed[h.index()])
-                                    .collect();
-                                for &s in &survivors {
-                                    if keep.len() == old.len() {
-                                        break;
-                                    }
-                                    if !keep.contains(&s) {
-                                        keep.push(s);
-                                    }
-                                }
-                                if keep.len() < old.len() {
-                                    return Err(failed());
-                                }
-                                placements[t.index()] = keep;
-                                changed[t.index()] = true;
-                                report.retried_tasks += 1;
-                            }
-                        }
-                        RecoveryPolicy::Rescue => {
-                            let Some(replan) = setup.replan.as_mut() else {
-                                return Err(failed());
-                            };
-                            let Some(rescue) = replan(&survivors) else {
-                                return Err(failed());
-                            };
-                            // Running/backoff tasks on surviving hosts keep
-                            // their placement and precede everything else;
-                            // every waiting task adopts the rescue
-                            // schedule's placement and order.
-                            let mut new_order: Vec<TaskId> = order
-                                .iter()
-                                .copied()
-                                .filter(|t| {
-                                    matches!(
-                                        state[t.index()],
-                                        TaskState::Running | TaskState::Backoff
-                                    )
-                                })
-                                .collect();
-                            let mut adopted = 0u64;
-                            for st in &rescue.tasks {
-                                let t = st.task;
-                                if state[t.index()] != TaskState::Waiting {
-                                    continue;
-                                }
-                                if st.hosts.is_empty() || touches_crashed(&st.hosts, &crashed) {
-                                    return Err(failed());
-                                }
-                                if placements[t.index()] != st.hosts {
-                                    changed[t.index()] = true;
-                                }
-                                placements[t.index()] = st.hosts.clone();
-                                new_order.push(t);
-                                adopted += 1;
-                            }
-                            // Defensive: a waiting task the rescue schedule
-                            // somehow omitted keeps its old placement (it
-                            // must still be off the dead hosts).
-                            for &t in &order {
-                                if state[t.index()] == TaskState::Waiting && !new_order.contains(&t)
-                                {
-                                    if touches_crashed(&placements[t.index()], &crashed) {
-                                        return Err(failed());
-                                    }
-                                    new_order.push(t);
-                                }
-                            }
-                            order = new_order;
-                            report.rescues += 1;
-                            report.rescued_tasks += adopted;
-                        }
-                    }
-
-                    // Re-planned tasks wait out the re-plan cost.
-                    for t in 0..n_tasks {
-                        if changed[t]
-                            || (setup.recovery == RecoveryPolicy::Rescue
-                                && state[t] == TaskState::Waiting)
-                        {
-                            gate[t] = gate[t].max(now + setup.rescue_overhead);
-                        }
-                    }
-
-                    // Rebuild the host queues over the unfinished tasks in
-                    // the (possibly new) dispatch order. Running tasks come
-                    // first in `order`, so they sit at their hosts' heads.
-                    for q in &mut queue {
-                        q.clear();
-                    }
-                    queue_head.iter_mut().for_each(|h| *h = 0);
-                    for &t in &order {
-                        if state[t.index()] != TaskState::Done {
-                            for h in &placements[t.index()] {
-                                queue[h.index()].push(t);
-                            }
-                        }
-                    }
-
-                    // Data plane repair: a task whose placement changed
-                    // needs every predecessor's output again at its new
-                    // hosts; cancelled transfers to unchanged placements
-                    // are simply re-issued.
-                    for t in dag.task_ids() {
-                        if state[t.index()] == TaskState::Done || !changed[t.index()] {
-                            continue;
-                        }
-                        // A transfer still in flight into `t` targets its old
-                        // placement and would double-count against the reset
-                        // `pending` once the repair re-issues it below.
-                        for idx in 0..in_flight.len() {
-                            if let Some(Meaning::Redist { succ, .. }) = in_flight[idx] {
-                                if succ == t {
-                                    sim.cancel(live_ids[idx]);
-                                    in_flight[idx] = None;
-                                }
-                            }
-                        }
-                        pending[t.index()] = dag.predecessors(t).len();
-                        arrived[t.index()] = 0;
-                        for &pred in dag.predecessors(t) {
-                            if state[pred.index()] == TaskState::Done {
-                                issue_redist(
-                                    sim,
-                                    model,
-                                    plan_cache,
-                                    dag,
-                                    &placements,
-                                    &crashed,
-                                    pred,
-                                    t,
-                                    &mut in_flight,
-                                    &mut live_ids,
-                                )?;
-                            }
-                        }
-                    }
-                    for &(src, succ) in &cancelled_redists {
-                        if !changed[succ.index()] && state[succ.index()] != TaskState::Done {
-                            issue_redist(
-                                sim,
-                                model,
-                                plan_cache,
-                                dag,
-                                &placements,
-                                &crashed,
-                                src,
-                                succ,
-                                &mut in_flight,
-                                &mut live_ids,
-                            )?;
-                        }
-                    }
+                Some(Meaning::Redist { succ, .. }) => {
+                    run.st.pending[succ.index()] -= 1;
                 }
+                None => unreachable!("unknown completion"),
             }
         }
-
-        try_start_disturbed(
-            sim,
-            model,
-            policy,
-            dag,
-            plan,
-            &order,
-            &placements,
-            &queue,
-            &queue_head,
-            &pending,
-            &mut state,
-            &mut spans,
-            &mut attempts,
-            &mut launched,
-            &gate,
-            &mut in_flight,
-            &mut live_ids,
-        )?;
+        if done_count == n_tasks {
+            break;
+        }
     }
 
+    let spans = std::mem::take(&mut run.st.spans);
     let makespan = spans.iter().map(|&(_, f)| f).fold(0.0_f64, f64::max);
     Ok(ExecutionResult {
         makespan,
         task_spans: spans,
-        task_retries: attempts,
+        task_retries: std::mem::take(&mut run.st.attempts),
     })
+}
+
+fn touches_crashed(hosts: &[HostId], crashed: &[bool]) -> bool {
+    hosts.iter().any(|h| crashed[h.index()])
+}
+
+/// One execution in progress: the warm simulator, the model, and the
+/// slab's per-run bookkeeping.
+struct Run<'a> {
+    sim: &'a mut L07Sim,
+    model: &'a mut dyn ExecutionModel,
+    plan_cache: &'a mut HashMap<(usize, usize, usize), RedistPlan>,
+    dag: &'a Dag,
+    policy: &'a ExecPolicy,
+    plan: &'a DisturbancePlan,
+    st: &'a mut RunState,
+}
+
+impl Run<'_> {
+    /// Launch pass: starts every waiting task that heads all its host
+    /// queues and has all its inputs. Fixed-duration tasks sample the
+    /// plan's compound slowdown of their hosts at launch (the same
+    /// launch-sampled semantics `FaultPlan` node slowdowns use), and a
+    /// re-planned task waits out its `gate` (the rescue overhead, as
+    /// virtual time) before its attempt starts.
+    fn try_start(&mut self) -> Result<(), ExecError> {
+        let now = self.sim.now();
+        let st = &mut *self.st;
+        for &t in &st.order {
+            let i = t.index();
+            if st.state[i] != TaskState::Waiting || st.pending[i] > 0 {
+                continue;
+            }
+            let hosts = &st.placements[i];
+            let at_head = hosts
+                .iter()
+                .all(|h| st.queue[h.index()].get(st.queue_head[h.index()]) == Some(&t));
+            if !at_head {
+                continue;
+            }
+            let kernel = self.dag.task(t).kernel;
+            let p = hosts.len();
+            // Every attempt — successful or not — pays the startup
+            // overhead; a re-planned task first waits out its gate.
+            let startup = self.model.startup_overhead(t, p) + (st.gate[i] - now).max(0.0);
+            if !st.launched[i] {
+                st.launched[i] = true;
+                st.spans[i].0 = now;
+            }
+            let disposition = match self.model.fault_model() {
+                Some(fm) => fm.task_disposition(t, hosts, st.attempts[i], now),
+                None => TaskDisposition::Run { slowdown: 1.0 },
+            };
+            let slowdown = match disposition {
+                TaskDisposition::Fail { retry_after } => {
+                    let attempt = st.attempts[i];
+                    if attempt >= self.policy.max_retries {
+                        return Err(ExecError::TaskFailed {
+                            task: t,
+                            attempts: attempt + 1,
+                        });
+                    }
+                    st.attempts[i] = attempt + 1;
+                    // The failed attempt is charged as simulated time: its
+                    // startup overhead plus the backoff wait (or the time
+                    // until a crashed host recovers, whichever is longer).
+                    // The task's hosts stay claimed throughout.
+                    let backoff = (self.policy.backoff_base * 2.0_f64.powi(attempt as i32))
+                        .min(self.policy.backoff_cap);
+                    let mut spec =
+                        PTaskSpec::new().with_extra_latency(startup + backoff.max(retry_after));
+                    if self.sim.tracing_enabled() {
+                        spec = spec.with_label(format!("backoff-{i}-{attempt}"));
+                    }
+                    let id = self.sim.submit(spec)?;
+                    st.in_flight.insert(id, Meaning::Backoff(t));
+                    st.state[i] = TaskState::Backoff;
+                    continue;
+                }
+                TaskDisposition::Run { slowdown } => slowdown.max(1.0),
+            };
+            let mut spec = match self.model.task_execution(t, kernel, hosts) {
+                TaskExecution::Analytic => {
+                    // Host slowdowns reach analytic tasks through the
+                    // engine's scaled capacities — no launch-time factor.
+                    let flops = kernel.flops_per_proc(p) * slowdown;
+                    let comm = kernel.comm_matrix(p);
+                    PTaskSpec::compute(hosts, &vec![flops; p])
+                        .with_comm_matrix(hosts, &comm)
+                        .with_extra_latency(startup)
+                }
+                TaskExecution::Fixed(duration) => {
+                    let disturb_factor = hosts
+                        .iter()
+                        .map(|h| self.plan.slow_factor(h.index(), now))
+                        .fold(1.0, f64::max);
+                    PTaskSpec::new()
+                        .with_extra_latency(startup + duration.max(0.0) * slowdown * disturb_factor)
+                }
+            };
+            if self.sim.tracing_enabled() {
+                spec = spec.with_label(format!("task-{i}"));
+            }
+            let id = self.sim.submit(spec)?;
+            st.in_flight.insert(id, Meaning::TaskRun(t));
+            st.state[i] = TaskState::Running;
+        }
+        Ok(())
+    }
+
+    /// `t` finished at `time`: release its host queues and start the
+    /// redistribution of its output to every successor.
+    fn finish(&mut self, t: TaskId, time: f64) -> Result<(), ExecError> {
+        let st = &mut *self.st;
+        st.state[t.index()] = TaskState::Done;
+        st.spans[t.index()].1 = time;
+        for h in &st.placements[t.index()] {
+            debug_assert_eq!(
+                st.queue[h.index()][st.queue_head[h.index()]],
+                t,
+                "queue discipline violated"
+            );
+            st.queue_head[h.index()] += 1;
+        }
+        let dag = self.dag;
+        for &succ in dag.successors(t) {
+            self.issue_redist(t, succ)?;
+        }
+        Ok(())
+    }
+
+    /// Submits the redistribution for DAG edge `src → succ` using the
+    /// tasks' *current* placements. The plans are pure functions of
+    /// `(n, p_src, p_dst)` — both sides always use vanilla block
+    /// distributions — so they are memoized in the slab. Crashed source
+    /// hosts are substituted by the source's first surviving host (the
+    /// durable-replication assumption: a finished task's output can be
+    /// re-served from any surviving rank); when no source host survives at
+    /// all, the data re-materializes at the destination instantly and only
+    /// the protocol overhead is charged.
+    fn issue_redist(&mut self, src: TaskId, succ: TaskId) -> Result<(), ExecError> {
+        let st = &mut *self.st;
+        let src_hosts = &st.placements[src.index()];
+        let dst_hosts = &st.placements[succ.index()];
+        let mut overhead = self.model.redist_overhead(src_hosts.len(), dst_hosts.len());
+        let mut spec = match src_hosts.iter().find(|h| !st.crashed[h.index()]) {
+            // Every source rank is gone: instantaneous re-materialization.
+            None => PTaskSpec::new().with_extra_latency(overhead),
+            Some(survivor) => {
+                let n = self.dag.task(src).kernel.n();
+                let plan = self
+                    .plan_cache
+                    .entry((n, src_hosts.len(), dst_hosts.len()))
+                    .or_insert_with(|| {
+                        RedistPlan::compute(
+                            &BlockDist1D::vanilla(n, src_hosts.len()),
+                            &BlockDist1D::vanilla(n, dst_hosts.len()),
+                        )
+                    });
+                st.src_idx.clear();
+                st.src_idx.extend(src_hosts.iter().map(|h| {
+                    if st.crashed[h.index()] {
+                        survivor.index()
+                    } else {
+                        h.index()
+                    }
+                }));
+                st.dst_idx.clear();
+                st.dst_idx.extend(dst_hosts.iter().map(|h| h.index()));
+                let mut flows: Vec<(HostId, HostId, f64)> = plan
+                    .network_transfers(&st.src_idx, &st.dst_idx)
+                    .into_iter()
+                    .map(|(s, d, b)| (HostId(s), HostId(d), b))
+                    .collect();
+                // Degraded links carry more effective bytes; the protocol
+                // overhead stretches with the worst link.
+                if let Some(fm) = self.model.fault_model() {
+                    let now = self.sim.now();
+                    let mut worst = 1.0_f64;
+                    for (s, d, b) in &mut flows {
+                        let factor = fm.link_factor(*s, *d, now).max(1.0);
+                        *b *= factor;
+                        worst = worst.max(factor);
+                    }
+                    overhead *= worst;
+                }
+                PTaskSpec::transfers(flows).with_extra_latency(overhead)
+            }
+        };
+        if self.sim.tracing_enabled() {
+            spec = spec.with_label(format!("redist-{}-{}", src.index(), succ.index()));
+        }
+        let id = self.sim.submit(spec)?;
+        st.in_flight.insert(id, Meaning::Redist { src, succ });
+        Ok(())
+    }
+
+    /// Applies one plan boundary at `now`.
+    fn apply_boundary(
+        &mut self,
+        b: Boundary,
+        now: f64,
+        setup: &mut DisturbSetup<'_>,
+        report: &mut DisturbReport,
+    ) -> Result<(), ExecError> {
+        let n_hosts = self.st.crashed.len();
+        match self.plan.events[b.event] {
+            Disturbance::Slow { host, .. } => {
+                if b.opening {
+                    report.slows += 1;
+                }
+                if host < n_hosts {
+                    let factor = self.plan.slow_factor(host, now).max(1.0);
+                    self.sim.set_host_factor(HostId(host), factor)?;
+                }
+            }
+            Disturbance::Degrade { link, .. } => {
+                if b.opening {
+                    report.degrades += 1;
+                }
+                if link < n_hosts {
+                    let factor = self.plan.link_factor(link, now).max(1.0);
+                    self.sim.set_link_factor(HostId(link), factor)?;
+                }
+            }
+            Disturbance::Crash { host, .. } => {
+                if host < n_hosts && !self.st.crashed[host] {
+                    self.crash(host, now, setup, report)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// `host` fails permanently at `now`: cancel what touches it, then
+    /// repair the run per `setup.recovery`.
+    fn crash(
+        &mut self,
+        host: usize,
+        now: f64,
+        setup: &mut DisturbSetup<'_>,
+        report: &mut DisturbReport,
+    ) -> Result<(), ExecError> {
+        let dag = self.dag;
+        let n_tasks = dag.len();
+        let n_hosts = self.st.crashed.len();
+        self.st.crashed[host] = true;
+        report.crashes += 1;
+        self.sim.crash_host(HostId(host))?;
+
+        // Who is stranded: unfinished tasks placed on a dead host, plus
+        // in-flight redistributions whose endpoints touch one.
+        let st = &mut *self.st;
+        let affected: Vec<TaskId> = st
+            .order
+            .iter()
+            .copied()
+            .filter(|t| {
+                st.state[t.index()] != TaskState::Done
+                    && touches_crashed(&st.placements[t.index()], &st.crashed)
+            })
+            .collect();
+        let mut cancelled_redists: Vec<(TaskId, TaskId)> = Vec::new();
+        st.in_flight.cancel_where(self.sim, |m| match m {
+            Meaning::TaskRun(t) | Meaning::Backoff(t) => {
+                let hit = touches_crashed(&st.placements[t.index()], &st.crashed);
+                if hit {
+                    st.state[t.index()] = TaskState::Waiting;
+                    st.attempts[t.index()] += 1;
+                }
+                hit
+            }
+            Meaning::Redist { src, succ } => {
+                let hit = touches_crashed(&st.placements[src.index()], &st.crashed)
+                    || touches_crashed(&st.placements[succ.index()], &st.crashed);
+                if hit {
+                    cancelled_redists.push((src, succ));
+                }
+                hit
+            }
+        });
+        if affected.is_empty() && cancelled_redists.is_empty() {
+            return Ok(());
+        }
+
+        let survivors: Vec<HostId> = (0..n_hosts)
+            .filter(|&h| !st.crashed[h])
+            .map(HostId)
+            .collect();
+        let failed = || ExecError::HostFailed {
+            host: HostId(host),
+            stranded: affected.len(),
+        };
+        if survivors.is_empty() || setup.recovery == RecoveryPolicy::FailFast {
+            return Err(failed());
+        }
+
+        // Repair placements (and, under Rescue, the order).
+        let mut changed = vec![false; n_tasks];
+        match setup.recovery {
+            RecoveryPolicy::FailFast => unreachable!("handled above"),
+            RecoveryPolicy::RetryElsewhere => {
+                for &t in &affected {
+                    let old = &st.placements[t.index()];
+                    let mut keep: Vec<HostId> = old
+                        .iter()
+                        .copied()
+                        .filter(|h| !st.crashed[h.index()])
+                        .collect();
+                    for &s in &survivors {
+                        if keep.len() == old.len() {
+                            break;
+                        }
+                        if !keep.contains(&s) {
+                            keep.push(s);
+                        }
+                    }
+                    if keep.len() < old.len() {
+                        return Err(failed());
+                    }
+                    st.placements[t.index()] = keep;
+                    changed[t.index()] = true;
+                    report.retried_tasks += 1;
+                }
+            }
+            RecoveryPolicy::Rescue => {
+                let Some(replan) = setup.replan.as_mut() else {
+                    return Err(failed());
+                };
+                let Some(rescue) = replan(&survivors) else {
+                    return Err(failed());
+                };
+                // Running/backoff tasks on surviving hosts keep their
+                // placement and precede everything else; every waiting
+                // task adopts the rescue schedule's placement and order.
+                let mut new_order: Vec<TaskId> = st
+                    .order
+                    .iter()
+                    .copied()
+                    .filter(|t| {
+                        matches!(st.state[t.index()], TaskState::Running | TaskState::Backoff)
+                    })
+                    .collect();
+                let mut adopted = 0u64;
+                for rt in &rescue.tasks {
+                    let t = rt.task;
+                    if st.state[t.index()] != TaskState::Waiting {
+                        continue;
+                    }
+                    if rt.hosts.is_empty() || touches_crashed(&rt.hosts, &st.crashed) {
+                        return Err(failed());
+                    }
+                    if st.placements[t.index()] != rt.hosts {
+                        changed[t.index()] = true;
+                    }
+                    st.placements[t.index()] = rt.hosts.clone();
+                    new_order.push(t);
+                    adopted += 1;
+                }
+                // Defensive: a waiting task the rescue schedule somehow
+                // omitted keeps its old placement (it must still be off
+                // the dead hosts).
+                for &t in &st.order {
+                    if st.state[t.index()] == TaskState::Waiting && !new_order.contains(&t) {
+                        if touches_crashed(&st.placements[t.index()], &st.crashed) {
+                            return Err(failed());
+                        }
+                        new_order.push(t);
+                    }
+                }
+                st.order = new_order;
+                report.rescues += 1;
+                report.rescued_tasks += adopted;
+            }
+        }
+
+        // Re-planned tasks wait out the re-plan cost.
+        let rescued = setup.recovery == RecoveryPolicy::Rescue;
+        for (t, &moved) in changed.iter().enumerate() {
+            if moved || (rescued && st.state[t] == TaskState::Waiting) {
+                st.gate[t] = st.gate[t].max(now + setup.rescue_overhead);
+            }
+        }
+
+        // Rebuild the host queues over the unfinished tasks in the
+        // (possibly new) dispatch order. Running tasks come first in
+        // `order`, so they sit at their hosts' heads.
+        reset_nested(&mut st.queue, n_hosts);
+        refill(&mut st.queue_head, n_hosts, 0);
+        for &t in &st.order {
+            if st.state[t.index()] != TaskState::Done {
+                for h in &st.placements[t.index()] {
+                    st.queue[h.index()].push(t);
+                }
+            }
+        }
+
+        // Data plane repair: a task whose placement changed needs every
+        // predecessor's output again at its new hosts; cancelled transfers
+        // to unchanged placements are simply re-issued.
+        for t in dag.task_ids() {
+            if self.st.state[t.index()] == TaskState::Done || !changed[t.index()] {
+                continue;
+            }
+            // A transfer still in flight into `t` targets its old
+            // placement and would double-count against the reset
+            // `pending` once the repair re-issues it below.
+            self.st.in_flight.cancel_where(
+                self.sim,
+                |m| matches!(m, Meaning::Redist { succ, .. } if succ == t),
+            );
+            self.st.pending[t.index()] = dag.predecessors(t).len();
+            for &pred in dag.predecessors(t) {
+                if self.st.state[pred.index()] == TaskState::Done {
+                    self.issue_redist(pred, t)?;
+                }
+            }
+        }
+        for &(src, succ) in &cancelled_redists {
+            if !changed[succ.index()] && self.st.state[succ.index()] != TaskState::Done {
+                self.issue_redist(src, succ)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1785,16 +1536,18 @@ mod tests {
             rescue_overhead,
             replan,
         };
-        let r = execute_disturbed_with_slab(
-            &mut slab,
-            dag,
-            cluster,
-            schedule,
-            model,
-            &ExecPolicy::default(),
-            setup,
-            &mut report,
-        );
+        let r = validate_schedule(dag, cluster, schedule).and_then(|()| {
+            execute_prevalidated(
+                &mut slab,
+                dag,
+                cluster,
+                schedule,
+                model,
+                &ExecPolicy::default(),
+                setup,
+                &mut report,
+            )
+        });
         (r, report)
     }
 
@@ -2218,7 +1971,7 @@ mod repro_review {
         let mut slab = ExecSlab::new();
         let mut report = DisturbReport::default();
         let mut model = PerTask;
-        let r = execute_disturbed_with_slab(
+        let r = execute_prevalidated(
             &mut slab,
             &dag,
             &cluster,

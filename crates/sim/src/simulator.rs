@@ -8,14 +8,15 @@
 //! the "experiment" side of each figure.
 
 use mps_dag::{Dag, TaskId};
+use mps_faults::DisturbReport;
 use mps_kernels::Kernel;
 use mps_model::PerfModel;
 use mps_platform::{Cluster, HostId};
 use mps_sched::{AllocKey, AllocationEngine, Schedule, Scheduler};
 
 use crate::executor::{
-    execute, execute_with_slab, ExecError, ExecPolicy, ExecSlab, ExecutionModel, ExecutionResult,
-    TaskExecution,
+    execute, execute_prevalidated, validate_schedule, DisturbSetup, ExecError, ExecPolicy,
+    ExecSlab, ExecutionModel, ExecutionResult, TaskExecution,
 };
 
 /// Adapter: a deterministic [`PerfModel`] as an [`ExecutionModel`].
@@ -101,14 +102,17 @@ impl<M: PerfModel + Clone> Simulator<M> {
         dag: &Dag,
         schedule: &Schedule,
     ) -> Result<ExecutionResult, ExecError> {
+        validate_schedule(dag, &self.cluster, schedule)?;
         let mut exec_model = ModelExecution::new(&self.model);
-        execute_with_slab(
+        execute_prevalidated(
             slab,
             dag,
             &self.cluster,
             schedule,
             &mut exec_model,
             &ExecPolicy::default(),
+            DisturbSetup::none(),
+            &mut DisturbReport::default(),
         )
     }
 

@@ -12,17 +12,14 @@ use rand::SeedableRng;
 use rand_distr::{Distribution, LogNormal};
 
 use mps_dag::{Dag, TaskId};
-use mps_faults::{FaultPlan, ScriptedFaults};
+use mps_faults::{DisturbReport, FaultModel, FaultPlan, ScriptedFaults};
 use mps_kernels::Kernel;
 use mps_platform::{Cluster, ClusterSpec, HostId};
 use mps_sched::Schedule;
 use mps_sim::{
-    execute, execute_disturbed_with_slab_prevalidated, execute_with_policy,
-    execute_with_slab_prevalidated, DisturbSetup, ExecError, ExecPolicy, ExecSlab, ExecutionModel,
-    ExecutionResult, FaultyExecution, TaskExecution,
+    execute_prevalidated, validate_schedule, DisturbSetup, ExecError, ExecPolicy, ExecSlab,
+    ExecutionModel, ExecutionResult, TaskExecution,
 };
-
-use mps_faults::DisturbReport;
 
 use crate::ground_truth::GroundTruth;
 
@@ -98,8 +95,8 @@ impl Testbed {
         schedule: &Schedule,
         run_seed: u64,
     ) -> Result<ExecutionResult, ExecError> {
-        let mut model = TestbedRun::new(&self.truth, self.rng_for(0xE0EC, run_seed));
-        execute(dag, &self.cluster, schedule, &mut model)
+        validate_schedule(dag, &self.cluster, schedule)?;
+        self.execute_prevalidated_with_slab(&mut ExecSlab::new(), dag, schedule, run_seed)
     }
 
     /// [`Testbed::execute`] reusing a caller-owned [`ExecSlab`], skipping
@@ -116,14 +113,15 @@ impl Testbed {
         schedule: &Schedule,
         run_seed: u64,
     ) -> Result<ExecutionResult, ExecError> {
-        let mut model = TestbedRun::new(&self.truth, self.rng_for(0xE0EC, run_seed));
-        execute_with_slab_prevalidated(
+        self.execute_disturbed_prevalidated_with_slab(
             slab,
             dag,
-            &self.cluster,
             schedule,
-            &mut model,
+            run_seed,
+            None,
             &ExecPolicy::default(),
+            DisturbSetup::none(),
+            &mut DisturbReport::default(),
         )
     }
 
@@ -140,34 +138,26 @@ impl Testbed {
         plan: &FaultPlan,
         policy: &ExecPolicy,
     ) -> Result<ExecutionResult, ExecError> {
-        let inner = TestbedRun::new(&self.truth, self.rng_for(0xE0EC, run_seed));
-        let mut model = FaultyExecution::new(inner, ScriptedFaults::new(plan.clone()));
-        execute_with_policy(dag, &self.cluster, schedule, &mut model, policy)
+        validate_schedule(dag, &self.cluster, schedule)?;
+        self.execute_disturbed_prevalidated_with_slab(
+            &mut ExecSlab::new(),
+            dag,
+            schedule,
+            run_seed,
+            Some(plan),
+            policy,
+            DisturbSetup::none(),
+            &mut DisturbReport::default(),
+        )
     }
 
-    /// [`Testbed::execute_with_faults`] reusing a caller-owned [`ExecSlab`]
-    /// and skipping schedule validation (same caller contract as
-    /// [`Testbed::execute_prevalidated_with_slab`]).
-    pub fn execute_with_faults_prevalidated_with_slab(
-        &self,
-        slab: &mut ExecSlab,
-        dag: &Dag,
-        schedule: &Schedule,
-        run_seed: u64,
-        plan: &FaultPlan,
-        policy: &ExecPolicy,
-    ) -> Result<ExecutionResult, ExecError> {
-        let inner = TestbedRun::new(&self.truth, self.rng_for(0xE0EC, run_seed));
-        let mut model = FaultyExecution::new(inner, ScriptedFaults::new(plan.clone()));
-        execute_with_slab_prevalidated(slab, dag, &self.cluster, schedule, &mut model, policy)
-    }
-
-    /// [`Testbed::execute`] under timed platform disturbances: hosts
-    /// crash, slow down, and links degrade mid-run as `setup.plan`
-    /// scripts, and crashes trigger `setup.recovery` (see
-    /// [`DisturbSetup`]). When `faults` is given, launch-failure /
-    /// straggler injection composes with the disturbances — the same
-    /// stacking the fault-injection path uses. Skips schedule validation
+    /// The testbed's one run path: [`Testbed::execute`] under timed
+    /// platform disturbances, where hosts crash, slow down, and links
+    /// degrade mid-run as `setup.plan` scripts, and crashes trigger
+    /// `setup.recovery` (see [`DisturbSetup`]). When `faults` is given,
+    /// launch-failure / straggler injection composes with the
+    /// disturbances. Every other `execute*` method is this one with no
+    /// faults and/or [`DisturbSetup::none`]. Skips schedule validation
     /// (same caller contract as
     /// [`Testbed::execute_prevalidated_with_slab`]). Deterministic in
     /// `(self.base_seed, run_seed, plans)`; `report` accrues fired and
@@ -184,35 +174,20 @@ impl Testbed {
         setup: DisturbSetup<'_>,
         report: &mut DisturbReport,
     ) -> Result<ExecutionResult, ExecError> {
-        let inner = TestbedRun::new(&self.truth, self.rng_for(0xE0EC, run_seed));
-        match faults {
-            Some(plan) => {
-                let mut model = FaultyExecution::new(inner, ScriptedFaults::new(plan.clone()));
-                execute_disturbed_with_slab_prevalidated(
-                    slab,
-                    dag,
-                    &self.cluster,
-                    schedule,
-                    &mut model,
-                    policy,
-                    setup,
-                    report,
-                )
-            }
-            None => {
-                let mut model = inner;
-                execute_disturbed_with_slab_prevalidated(
-                    slab,
-                    dag,
-                    &self.cluster,
-                    schedule,
-                    &mut model,
-                    policy,
-                    setup,
-                    report,
-                )
-            }
-        }
+        let mut model = TestbedRun {
+            faults: faults.map(|plan| ScriptedFaults::new(plan.clone())),
+            ..TestbedRun::new(&self.truth, self.rng_for(0xE0EC, run_seed))
+        };
+        execute_prevalidated(
+            slab,
+            dag,
+            &self.cluster,
+            schedule,
+            &mut model,
+            policy,
+            setup,
+            report,
+        )
     }
 
     /// One timed run of a single kernel at allocation `p` (the §VI
@@ -242,7 +217,8 @@ impl Testbed {
     }
 }
 
-/// The per-run execution model: ground truth + fresh noise.
+/// The per-run execution model: ground truth + fresh noise, plus the
+/// run's injected faults, if any.
 ///
 /// The noise distributions are built once per run, not per sample — the
 /// parameters are constants, and sampling depends only on the RNG state,
@@ -253,6 +229,7 @@ struct TestbedRun<'a> {
     task_noise: LogNormal,
     startup_noise: LogNormal,
     redist_noise: LogNormal,
+    faults: Option<ScriptedFaults>,
 }
 
 impl<'a> TestbedRun<'a> {
@@ -263,6 +240,7 @@ impl<'a> TestbedRun<'a> {
             task_noise: LogNormal::new(0.0, TASK_NOISE_SIGMA).expect("valid sigma"),
             startup_noise: LogNormal::new(0.0, STARTUP_NOISE_SIGMA).expect("valid sigma"),
             redist_noise: LogNormal::new(0.0, REDIST_NOISE_SIGMA).expect("valid sigma"),
+            faults: None,
         }
     }
 }
@@ -280,6 +258,10 @@ impl ExecutionModel for TestbedRun<'_> {
 
     fn redist_overhead(&mut self, p_src: usize, p_dst: usize) -> f64 {
         self.truth.redist_mean(p_src, p_dst) * self.redist_noise.sample(&mut self.rng)
+    }
+
+    fn fault_model(&mut self) -> Option<&mut dyn FaultModel> {
+        self.faults.as_mut().map(|f| f as &mut dyn FaultModel)
     }
 }
 
