@@ -1,5 +1,7 @@
-//! DES-core benchmark: solver microbench, engine event throughput, and
-//! end-to-end grid wall time. Emits `BENCH_DES.json` at the repo root.
+//! DES-core benchmark: solver microbench and engine event throughput. A
+//! full run rewrites the committed `BENCH_DES.json` at the repo root; a
+//! quick run writes its report under the cargo target dir. Grid wall time
+//! is the `grid` bench's job.
 //!
 //! Run with `cargo bench --bench des` (full) or
 //! `cargo bench --bench des -- --quick` (smoke mode for CI: same
@@ -11,7 +13,6 @@ use std::time::Instant;
 use mps_core::des::{
     max_min_fair_rates_ref, ActivitySpec, Completion, Demand, Engine, SolverWorkspace,
 };
-use mps_exp::Harness;
 
 /// 32-resource / 64-activity sharing problem: every activity touches three
 /// resources (same shape as the `components` solver bench), which makes the
@@ -148,23 +149,6 @@ fn bench_timer_path(timers: usize) -> f64 {
     fired as f64 / t.elapsed().as_secs_f64()
 }
 
-/// End-to-end: harness construction (testbed profiling + model fitting,
-/// all simulator-driven) and the paper grid. `subset == 0` runs the full
-/// 54-DAG `run_grid`; otherwise a corpus slice via `run_subset`.
-fn bench_grid(subset: usize, repeats: u64) -> (f64, f64) {
-    let t = Instant::now();
-    let h = Harness::new(2011);
-    let build_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let cells = if subset == 0 {
-        h.run_grid(repeats)
-    } else {
-        h.run_subset(subset, repeats)
-    };
-    assert!(!cells.is_empty());
-    (build_s, t.elapsed().as_secs_f64())
-}
-
 struct Report {
     mode: &'static str,
     solver_ref_ns: f64,
@@ -173,10 +157,6 @@ struct Report {
     churn_eps: f64,
     timer_events: usize,
     timer_eps: f64,
-    grid_subset: usize,
-    grid_repeats: u64,
-    grid_build_s: f64,
-    grid_wall_s: f64,
 }
 
 /// Pre-refactor numbers, captured on this container at the seed commit
@@ -187,8 +167,7 @@ const BASELINE_JSON: &str = r#"{
     "commit": "294e5cb",
     "solver_32r_64a": {"ref_ns_per_solve": 13905.5, "incremental_ns_per_solve": 13603.4, "speedup": 1.02},
     "engine_churn_32r_64a": {"events_per_sec": 38105},
-    "timer_path_32r_64a": {"events_per_sec": 3703},
-    "grid": {"dags": 54, "repeats": 3, "build_s": 0.000, "wall_s": 0.166}
+    "timer_path_32r_64a": {"events_per_sec": 3703}
   }"#;
 
 fn emit_json(r: &Report) {
@@ -200,7 +179,6 @@ fn emit_json(r: &Report) {
   "solver_32r_64a": {{"ref_ns_per_solve": {sref:.1}, "incremental_ns_per_solve": {sinc:.1}, "speedup": {spd:.2}}},
   "engine_churn_32r_64a": {{"events": {cev}, "events_per_sec": {ceps:.0}}},
   "timer_path_32r_64a": {{"events": {tev}, "events_per_sec": {teps:.0}}},
-  "grid": {{"dags": {gsub}, "repeats": {grep}, "build_s": {gb:.3}, "wall_s": {gw:.3}}},
   "baseline": {base}
 }}
 "#,
@@ -212,20 +190,16 @@ fn emit_json(r: &Report) {
         ceps = r.churn_eps,
         tev = r.timer_events,
         teps = r.timer_eps,
-        gsub = if r.grid_subset == 0 {
-            54
-        } else {
-            r.grid_subset
-        },
-        grep = r.grid_repeats,
-        gb = r.grid_build_s,
-        gw = r.grid_wall_s,
         base = BASELINE_JSON,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_DES.json");
-    std::fs::write(path, &json).expect("write BENCH_DES.json");
+    let path = mps_bench::report_path(
+        "BENCH_DES.json",
+        r.mode == "full",
+        env!("CARGO_TARGET_TMPDIR"),
+    );
+    std::fs::write(&path, &json).expect("write BENCH_DES.json");
     println!("{json}");
-    println!("wrote {path}");
+    println!("wrote {}", path.display());
 }
 
 fn main() {
@@ -233,12 +207,12 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     // `cargo test --benches` runs without `--bench`: smoke-run only.
     let smoke = !args.iter().any(|a| a == "--bench");
-    let (solver_iters, churn_events, timer_events, grid_subset) = if smoke {
-        (10, 200, 200, 0)
+    let (solver_iters, churn_events, timer_events) = if smoke {
+        (10, 200, 200)
     } else if quick {
-        (2_000, 5_000, 5_000, 2)
+        (2_000, 5_000, 5_000)
     } else {
-        (20_000, 60_000, 60_000, 0)
+        (20_000, 60_000, 60_000)
     };
 
     let solver_ref_ns = bench_solver_ref(solver_iters);
@@ -255,20 +229,10 @@ fn main() {
     println!("engine/timers/32r_64a: {timer_eps:.0} events/s ({timer_events} timers)");
 
     if smoke {
-        // Keep `cargo test --benches` fast: skip the harness build and
-        // don't overwrite the committed JSON with smoke numbers.
+        // Smoke numbers are not worth a report.
         println!("des bench: ok (smoke test, pass --bench to measure)");
         return;
     }
-
-    let grid_repeats = if quick { 1 } else { 3 };
-    let (grid_build_s, grid_wall_s) = bench_grid(grid_subset, grid_repeats);
-    let grid_label: String = if grid_subset == 0 {
-        "full-grid".into()
-    } else {
-        format!("subset{grid_subset}")
-    };
-    println!("grid/{grid_label}x{grid_repeats}: build {grid_build_s:.3} s, run {grid_wall_s:.3} s");
 
     emit_json(&Report {
         mode: if quick { "quick" } else { "full" },
@@ -278,9 +242,5 @@ fn main() {
         churn_eps,
         timer_events,
         timer_eps,
-        grid_subset,
-        grid_repeats,
-        grid_build_s,
-        grid_wall_s,
     });
 }

@@ -1,6 +1,7 @@
 //! Grid throughput benchmark: end-to-end wall time of the batched
-//! structure-of-arrays grid path. Emits `BENCH_GRID.json` at the repo
-//! root.
+//! structure-of-arrays grid path. A full run rewrites the committed
+//! `BENCH_GRID.json` at the repo root; quick and smoke runs write theirs
+//! under the cargo target dir.
 //!
 //! The measured unit is one *grid pass*: every (DAG, variant, algorithm)
 //! cell of the paper evaluation through `Harness::run_grid` /
@@ -16,8 +17,8 @@
 //!
 //! Run with `cargo bench --bench grid` (full: 54-DAG grid, 3 repeats) or
 //! `cargo bench --bench grid -- --quick` (CI smoke: subset grid). In
-//! quick mode, `--check-against <committed BENCH_GRID.json>` turns the
-//! run into a regression guard: the job fails if the fresh quick wall
+//! quick mode, `--check-against BENCH_GRID.json` (relative paths resolve
+//! against the repo root) turns the run into a regression guard: the job fails if the fresh quick wall
 //! time exceeds 2x the committed `quick_ref` wall time. See BENCH.md.
 
 use std::time::Instant;
@@ -127,10 +128,14 @@ fn emit_json(mode: &str, grid: &GridFigures, quick_ref: &GridFigures) {
         render_grid(grid),
         render_grid(quick_ref),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_GRID.json");
-    std::fs::write(path, &json).expect("write BENCH_GRID.json");
+    let path = mps_bench::report_path(
+        "BENCH_GRID.json",
+        mode == "full",
+        env!("CARGO_TARGET_TMPDIR"),
+    );
+    std::fs::write(&path, &json).expect("write BENCH_GRID.json");
     println!("{json}");
-    println!("wrote {path}");
+    println!("wrote {}", path.display());
 }
 
 /// Minimal field extraction for the regression guard: the first
@@ -190,7 +195,7 @@ fn main() {
     emit_json(mode, &grid, &quick_ref);
 
     if let Some(path) = check_against {
-        let committed = std::fs::read_to_string(&path)
+        let committed = std::fs::read_to_string(mps_bench::repo_path(&path))
             .unwrap_or_else(|e| panic!("read committed baseline {path}: {e}"));
         let reference = committed_quick_wall(&committed)
             .unwrap_or_else(|| panic!("no quick_ref.warm_wall_s in {path}"));

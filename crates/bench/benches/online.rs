@@ -1,6 +1,7 @@
 //! Streaming-engine throughput benchmark: sustained DES events per
-//! second of the online scheduling loop. Emits `BENCH_ONLINE.json` at
-//! the repo root.
+//! second of the online scheduling loop. A full run rewrites the
+//! committed `BENCH_ONLINE.json` at the repo root; quick and smoke runs
+//! write theirs under the cargo target dir.
 //!
 //! The measured unit is one *streaming run*: a seeded Poisson arrival
 //! process drawing paper-corpus DAGs, admission control, moldable
@@ -17,9 +18,10 @@
 //!
 //! Run with `cargo bench --bench online` (full: 1M-event horizon) or
 //! `cargo bench --bench online -- --quick` (CI smoke). In quick mode,
-//! `--check-against <committed BENCH_ONLINE.json>` turns the run into a
-//! regression guard: the job fails if the fresh quick wall time exceeds
-//! 2x the committed `quick_ref` wall time. See BENCH.md.
+//! `--check-against BENCH_ONLINE.json` (relative paths resolve against
+//! the repo root) turns the run into a regression guard: the job fails
+//! if the fresh quick wall time exceeds 2x the committed `quick_ref`
+//! wall time. See BENCH.md.
 
 use std::time::Instant;
 
@@ -124,10 +126,14 @@ fn emit_json(mode: &str, online: &OnlineFigures, quick_ref: &OnlineFigures, plat
         render_online(online),
         render_online(quick_ref),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ONLINE.json");
-    std::fs::write(path, &json).expect("write BENCH_ONLINE.json");
+    let path = mps_bench::report_path(
+        "BENCH_ONLINE.json",
+        mode == "full",
+        env!("CARGO_TARGET_TMPDIR"),
+    );
+    std::fs::write(&path, &json).expect("write BENCH_ONLINE.json");
     println!("{json}");
-    println!("wrote {path}");
+    println!("wrote {}", path.display());
 }
 
 /// Minimal field extraction for the regression guard: the first
@@ -225,7 +231,7 @@ fn main() {
     emit_json(mode, &online, &quick_ref, &plateau);
 
     if let Some(path) = check_against {
-        let committed = std::fs::read_to_string(&path)
+        let committed = std::fs::read_to_string(mps_bench::repo_path(&path))
             .unwrap_or_else(|e| panic!("read committed baseline {path}: {e}"));
         let reference = committed_quick_wall(&committed)
             .unwrap_or_else(|| panic!("no quick_ref.warm_wall_s in {path}"));

@@ -1,6 +1,7 @@
-//! Scheduling benchmark: allocation microbench over the full paper corpus
-//! and end-to-end grid wall time. Emits `BENCH_SCHED.json` at the repo
-//! root.
+//! Scheduling benchmark: allocation microbench over the full paper
+//! corpus. A full run rewrites the committed `BENCH_SCHED.json` at the
+//! repo root; a quick run writes its report under the cargo target dir.
+//! Grid wall time is the `grid` bench's job.
 //!
 //! One *pass* is the entire paper allocation workload: 54 corpus DAGs ×
 //! 3 performance models (analytic, profile, empirical) × 3 algorithms
@@ -13,7 +14,7 @@
 //!
 //! Run with `cargo bench --bench sched` (full) or
 //! `cargo bench --bench sched -- --quick` (smoke mode for CI: same
-//! measurements, fewer passes and a subset grid). See BENCH.md for
+//! measurements, fewer passes). See BENCH.md for
 //! methodology and the JSON schema.
 
 use std::time::Instant;
@@ -139,43 +140,21 @@ fn bench_engine(w: &Workload, passes: usize) -> (f64, usize) {
     (t.elapsed().as_secs_f64() * 1e3 / passes as f64, count)
 }
 
-/// End-to-end: harness construction and the paper grid, same shape as the
-/// DES bench's grid figure. `subset == 0` runs the full 54-DAG grid.
-fn bench_grid(subset: usize, repeats: u64) -> (f64, f64) {
-    let t = Instant::now();
-    let h = Harness::new(2011);
-    let build_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let cells = if subset == 0 {
-        h.run_grid(repeats)
-    } else {
-        h.run_subset(subset, repeats)
-    };
-    assert!(!cells.is_empty());
-    (build_s, t.elapsed().as_secs_f64())
-}
-
 struct Report {
     mode: &'static str,
     allocs_per_pass: usize,
     ref_ms: f64,
     eng_ms: f64,
-    grid_subset: usize,
-    grid_repeats: u64,
-    grid_build_s: f64,
-    grid_wall_s: f64,
 }
 
 /// Pre-rework numbers, captured on this container at the pre-rework
 /// commit. The pre-rework `allocate` is frozen verbatim as `allocate_ref`,
 /// so its timing at the current commit *is* the honest "before" for the
-/// allocation microbench; the grid wall time was measured on the
-/// pre-rework tree with `cargo bench --bench des` (full mode). They
-/// anchor the before/after trajectory in `BENCH_SCHED.json`; see BENCH.md.
+/// allocation microbench. It anchors the before/after trajectory in
+/// `BENCH_SCHED.json`; see BENCH.md.
 const BASELINE_JSON: &str = r#"{
     "commit": "1c93098",
-    "alloc_corpus": {"allocs_per_pass": 486, "ref_ms_per_pass": 55.102, "engine_ms_per_pass": 55.102, "speedup": 1.00},
-    "grid": {"dags": 54, "repeats": 3, "build_s": 0.000, "wall_s": 0.183}
+    "alloc_corpus": {"allocs_per_pass": 486, "ref_ms_per_pass": 55.102, "engine_ms_per_pass": 55.102, "speedup": 1.00}
   }"#;
 
 fn emit_json(r: &Report) {
@@ -184,7 +163,6 @@ fn emit_json(r: &Report) {
   "schema": "mps-bench-sched/v1",
   "mode": "{mode}",
   "alloc_corpus": {{"allocs_per_pass": {apc}, "ref_ms_per_pass": {rms:.3}, "engine_ms_per_pass": {ems:.3}, "speedup": {spd:.2}}},
-  "grid": {{"dags": {gsub}, "repeats": {grep}, "build_s": {gb:.3}, "wall_s": {gw:.3}}},
   "baseline": {base}
 }}
 "#,
@@ -193,20 +171,16 @@ fn emit_json(r: &Report) {
         rms = r.ref_ms,
         ems = r.eng_ms,
         spd = r.ref_ms / r.eng_ms,
-        gsub = if r.grid_subset == 0 {
-            54
-        } else {
-            r.grid_subset
-        },
-        grep = r.grid_repeats,
-        gb = r.grid_build_s,
-        gw = r.grid_wall_s,
         base = BASELINE_JSON,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_SCHED.json");
-    std::fs::write(path, &json).expect("write BENCH_SCHED.json");
+    let path = mps_bench::report_path(
+        "BENCH_SCHED.json",
+        r.mode == "full",
+        env!("CARGO_TARGET_TMPDIR"),
+    );
+    std::fs::write(&path, &json).expect("write BENCH_SCHED.json");
     println!("{json}");
-    println!("wrote {path}");
+    println!("wrote {}", path.display());
 }
 
 fn main() {
@@ -214,12 +188,12 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     // `cargo test --benches` runs without `--bench`: smoke-run only.
     let smoke = !args.iter().any(|a| a == "--bench");
-    let (passes, grid_subset) = if smoke {
-        (1, 0)
+    let passes = if smoke {
+        1
     } else if quick {
-        (3, 2)
+        3
     } else {
-        (20, 0)
+        20
     };
 
     let w = Workload::new();
@@ -235,29 +209,15 @@ fn main() {
     );
 
     if smoke {
-        // Keep `cargo test --benches` fast: skip the grid and don't
-        // overwrite the committed JSON with smoke numbers.
+        // Smoke numbers are not worth a report.
         println!("sched bench: ok (smoke test, pass --bench to measure)");
         return;
     }
-
-    let grid_repeats = if quick { 1 } else { 3 };
-    let (grid_build_s, grid_wall_s) = bench_grid(grid_subset, grid_repeats);
-    let grid_label: String = if grid_subset == 0 {
-        "full-grid".into()
-    } else {
-        format!("subset{grid_subset}")
-    };
-    println!("grid/{grid_label}x{grid_repeats}: build {grid_build_s:.3} s, run {grid_wall_s:.3} s");
 
     emit_json(&Report {
         mode: if quick { "quick" } else { "full" },
         allocs_per_pass,
         ref_ms,
         eng_ms,
-        grid_subset,
-        grid_repeats,
-        grid_build_s,
-        grid_wall_s,
     });
 }

@@ -1,5 +1,6 @@
-//! Load-generation bench for the `mps-serve` daemon. Emits
-//! `BENCH_SERVE.json` at the repo root.
+//! Load-generation bench for the `mps-serve` daemon. A full run rewrites
+//! the committed `BENCH_SERVE.json` at the repo root; a quick run writes
+//! its report under the cargo target dir.
 //!
 //! Everything runs through the real stack — `ServeBackend` over a real
 //! `Harness`, the daemon on a real Unix socket, the typed client — so the
@@ -195,10 +196,14 @@ mod unix_bench {
             shd = r.shed,
             rate = r.shed as f64 / r.offered as f64,
         );
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_SERVE.json");
-        std::fs::write(path, &json).expect("write BENCH_SERVE.json");
+        let path = mps_bench::report_path(
+            "BENCH_SERVE.json",
+            r.mode == "full",
+            env!("CARGO_TARGET_TMPDIR"),
+        );
+        std::fs::write(&path, &json).expect("write BENCH_SERVE.json");
         println!("{json}");
-        println!("wrote {path}");
+        println!("wrote {}", path.display());
     }
 }
 

@@ -860,20 +860,13 @@ fn main() {
                             ..SupervisorConfig::default()
                         },
                     };
-                    match subset {
-                        Some(take) => {
-                            harness.run_subset_supervised(take, path, &worker_cmd, &opts, &ctrl)
-                        }
-                        None => harness.run_grid_supervised(path, &worker_cmd, &opts, &ctrl),
-                    }
-                    .unwrap_or_else(|e| die(&format!("supervised campaign: {e}")))
+                    harness
+                        .run_grid_supervised(subset, path, &worker_cmd, &opts, &ctrl)
+                        .unwrap_or_else(|e| die(&format!("supervised campaign: {e}")))
                 } else {
-                    match subset {
-                        Some(take) => harness
-                            .run_subset_journaled(take, path, repeats, workers, resume, &ctrl),
-                        None => harness.run_grid_journaled(path, repeats, workers, resume, &ctrl),
-                    }
-                    .unwrap_or_else(|e| die(&format!("journal: {e}")))
+                    harness
+                        .run_grid_journaled(subset, path, repeats, workers, resume, &ctrl)
+                        .unwrap_or_else(|e| die(&format!("journal: {e}")))
                 };
                 if report.salvage_dropped_bytes > 0 {
                     eprintln!(

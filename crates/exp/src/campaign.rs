@@ -264,13 +264,8 @@ impl Harness {
             let path = point_journal(&opts.dir, point);
             let resume = path.exists();
             self.fault_plan = Some(point_fault_plan(base_seed, point, opts.points, hosts));
-            let grid = match opts.subset {
-                Some(take) => {
-                    self.run_subset_journaled(take, &path, opts.repeats, opts.workers, resume, ctrl)
-                }
-                None => self.run_grid_journaled(&path, opts.repeats, opts.workers, resume, ctrl),
-            };
-            let grid = match grid {
+            let (take, repeats, workers) = (opts.subset, opts.repeats, opts.workers);
+            let grid = match self.run_grid_journaled(take, &path, repeats, workers, resume, ctrl) {
                 Ok(g) => g,
                 Err(e) => {
                     self.fault_plan = saved_plan;

@@ -140,7 +140,7 @@ fn episode_journal(
     let _ = std::fs::remove_file(journal::manifest_path(&path));
     let chaos = ChaosIo::new(seed, plan);
     let h = Harness::new(7).with_io_env(Arc::new(chaos.clone()));
-    match h.run_subset_journaled(1, &path, 1, 1, false, &RunControl::unlimited()) {
+    match h.run_grid_journaled(Some(1), &path, 1, 1, false, &RunControl::unlimited()) {
         Ok(grid) => {
             let got = serde_json::to_string(&grid.cells).unwrap_or_default();
             if grid.status != GridStatus::Complete || got != baseline {
@@ -169,7 +169,8 @@ fn episode_journal(
     }
     // Invariant 2: the real-disk resume finishes byte-identically.
     let real = Harness::new(7);
-    match real.run_subset_journaled(1, &path, 1, 1, path.exists(), &RunControl::unlimited()) {
+    let resume = path.exists();
+    match real.run_grid_journaled(Some(1), &path, 1, 1, resume, &RunControl::unlimited()) {
         Ok(grid) => {
             let got = serde_json::to_string(&grid.cells).unwrap_or_default();
             if grid.status != GridStatus::Complete || got != baseline {

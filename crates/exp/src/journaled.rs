@@ -1,19 +1,22 @@
 //! Crash-safe, resumable grid campaigns.
 //!
-//! [`Harness::run_grid_journaled`] streams every completed [`CellResult`]
-//! through a dedicated writer thread into a write-ahead journal
-//! (`mps-journal`): one checksummed JSON line per cell, keyed by
-//! [`cell_key`](crate::runner::cell_key). Re-running against an existing
-//! journal skips the cells already on disk, so a campaign killed by a
-//! crash, an OOM, a Ctrl-C, or a wall-clock budget resumes from its last
-//! durable cell — and, because cell computation is deterministic and the
-//! merged grid is canonically sorted, the resumed grid is identical to an
+//! [`Harness::run_grid_journaled`] runs the one in-process cell driver
+//! with a journal as its sink: every completed [`CellResult`] is appended
+//! to a write-ahead journal (`mps-journal`) on the calling thread, one
+//! checksummed JSON line per cell, keyed by
+//! [`cell_key`](crate::runner::cell_key). There is no writer thread: the
+//! calling thread is one of the workers and appends its own cells plus
+//! whatever the other workers have queued between its cells. Re-running
+//! against an existing journal skips the cells already on disk, so a
+//! campaign killed by a crash, an OOM, a Ctrl-C, or a wall-clock budget
+//! resumes from its last durable cell. A kill loses the cells in flight
+//! plus any finished cells still queued behind the caller's current
+//! cell. Because cell computation is deterministic and the merged grid
+//! is canonically sorted, the resumed grid is identical to an
 //! uninterrupted run with the same configuration.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 use mps_core::dag::gen::GeneratedDag;
 use mps_core::faults::io::IoEnv;
@@ -21,9 +24,10 @@ use mps_core::journal::{
     self as journal, JournalError, JournalHeader, JournalWriter, Manifest, RunControl, StopReason,
     FORMAT_V1, MANIFEST_FORMAT_V1,
 };
-use mps_core::sched::{Hcpa, Mcpa, Scheduler};
 
-use crate::runner::{cell_key, sort_cells_canonical, CellResult, Harness, SimVariant};
+use crate::runner::{
+    pending_specs, sort_cells_canonical, subset, CellResult, Harness, CELLS_PER_DAG,
+};
 
 /// How a journaled campaign run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,19 +77,6 @@ pub struct JournaledGrid {
     pub journal: PathBuf,
 }
 
-pub(crate) struct CellSpec {
-    pub(crate) dag: usize,
-    pub(crate) variant: SimVariant,
-    pub(crate) algo: usize,
-}
-
-pub(crate) fn algo_of(i: usize) -> &'static dyn Scheduler {
-    match i {
-        0 => &Hcpa,
-        _ => &Mcpa,
-    }
-}
-
 /// What [`open_grid_journal`] recovers: the salvaged `(key, cell)`
 /// records, the writer positioned for appends, and how many torn-tail
 /// bytes were dropped.
@@ -130,42 +121,29 @@ pub(crate) fn open_grid_journal(
     }
 }
 
-/// The (dag, variant, algo) triples whose keys are not yet in `done`.
-pub(crate) fn pending_specs(
+/// The paper-grid campaign over the first `take` corpus DAGs (all of
+/// them for `None`): its corpus slice and its journal campaign name —
+/// `paper-grid`, or `paper-grid[..N]` for a subset — shared by every
+/// isolation mode, so a journal started under one resumes under another.
+pub(crate) fn paper_campaign(
     corpus: &[GeneratedDag],
-    done: &HashSet<&str>,
-    repeats: u64,
-) -> Vec<CellSpec> {
-    let mut pending = Vec::new();
-    for (di, g) in corpus.iter().enumerate() {
-        for variant in SimVariant::ALL {
-            for ai in 0..2 {
-                let key = cell_key(
-                    &g.name(),
-                    g.params.matrix_size,
-                    variant,
-                    algo_of(ai).name(),
-                    repeats,
-                );
-                if !done.contains(key.as_str()) {
-                    pending.push(CellSpec {
-                        dag: di,
-                        variant,
-                        algo: ai,
-                    });
-                }
-            }
-        }
-    }
-    pending
+    take: Option<usize>,
+) -> (&[GeneratedDag], String) {
+    let dags = subset(corpus, take);
+    let name = match take {
+        None => "paper-grid".to_string(),
+        Some(_) => format!("paper-grid[..{}]", dags.len()),
+    };
+    (dags, name)
 }
 
-/// Writes the manifest and assembles the merged, canonically sorted grid.
-/// Shared final step of both grid drivers.
+/// Writes the manifest (when there is a journal) and assembles the
+/// merged, canonically sorted grid. Shared final step of every grid
+/// driver with resume provenance.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finalize_grid(
     env: &dyn IoEnv,
-    path: &Path,
+    path: Option<&Path>,
     campaign: &str,
     expected: u64,
     resumed_cells: Vec<(String, CellResult)>,
@@ -194,18 +172,20 @@ pub(crate) fn finalize_grid(
         .iter()
         .filter(|c| c.outcome.crash_report().is_some())
         .count();
-    journal::write_manifest_in(
-        env,
-        path,
-        &Manifest {
-            format: MANIFEST_FORMAT_V1.to_string(),
-            campaign: campaign.to_string(),
-            records: total_done as u64,
-            expected,
-            status: status.label().to_string(),
-            quarantined: quarantined as u64,
-        },
-    )?;
+    if let Some(path) = path {
+        journal::write_manifest_in(
+            env,
+            path,
+            &Manifest {
+                format: MANIFEST_FORMAT_V1.to_string(),
+                campaign: campaign.to_string(),
+                records: total_done as u64,
+                expected,
+                status: status.label().to_string(),
+                quarantined: quarantined as u64,
+            },
+        )?;
+    }
     Ok(JournaledGrid {
         cells,
         status,
@@ -214,28 +194,46 @@ pub(crate) fn finalize_grid(
         pending: expected as usize - total_done,
         quarantined,
         salvage_dropped_bytes,
-        journal: path.to_path_buf(),
+        journal: path.map(Path::to_path_buf).unwrap_or_default(),
     })
 }
 
-struct JournalOpts<'a> {
-    path: &'a Path,
-    repeats: u64,
-    workers: usize,
-    resume: bool,
-}
-
 impl Harness {
-    /// Runs the full paper grid with write-ahead journaling: every
-    /// completed cell is durable before the next one is dispatched, cells
-    /// already present in the journal are skipped, and `ctrl` converts
-    /// signals/deadlines into a graceful drain (in-flight cells finish,
-    /// the journal syncs, the manifest records the checkpoint).
+    /// The journal header of a grid campaign over `dags` corpus DAGs.
+    /// `isolation` names the driver (`inproc`, `serve`, `process`);
+    /// `request` is the verbatim daemon work request (empty for batch
+    /// campaigns).
+    pub(crate) fn grid_header(
+        &self,
+        campaign: &str,
+        dags: usize,
+        repeats: u64,
+        isolation: &str,
+        request: &str,
+    ) -> JournalHeader {
+        JournalHeader {
+            format: FORMAT_V1.to_string(),
+            campaign: campaign.to_string(),
+            seed: self.testbed.base_seed,
+            repeats,
+            cells_expected: (dags * CELLS_PER_DAG) as u64,
+            config_digest: self.config_digest(),
+            isolation: isolation.to_string(),
+            request: request.to_string(),
+        }
+    }
+
+    /// Runs the paper grid — or its first `n` DAGs for `subset = Some(n)` —
+    /// with write-ahead journaling: every completed cell is appended to
+    /// the journal, cells already present in it are skipped, and `ctrl`
+    /// converts signals/deadlines into a graceful drain (in-flight cells
+    /// finish, the journal syncs, the manifest records the checkpoint).
     ///
     /// Pass `resume = true` to continue an existing journal; creating a
     /// fresh journal over an existing file is a typed error.
     pub fn run_grid_journaled(
         &self,
+        subset: Option<usize>,
         path: &Path,
         repeats: u64,
         workers: usize,
@@ -243,146 +241,39 @@ impl Harness {
         ctrl: &RunControl,
     ) -> Result<JournaledGrid, JournalError> {
         let corpus = self.corpus();
-        self.run_cells_journaled(
-            &corpus,
-            "paper-grid",
-            &JournalOpts {
-                path,
-                repeats,
-                workers,
-                resume,
-            },
-            ctrl,
-        )
-    }
-
-    /// [`Harness::run_grid_journaled`] over the first `take` corpus DAGs
-    /// (smoke tests, CI kill-and-resume jobs).
-    pub fn run_subset_journaled(
-        &self,
-        take: usize,
-        path: &Path,
-        repeats: u64,
-        workers: usize,
-        resume: bool,
-        ctrl: &RunControl,
-    ) -> Result<JournaledGrid, JournalError> {
-        let corpus: Vec<GeneratedDag> = self.corpus().iter().take(take).cloned().collect();
-        let campaign = format!("paper-grid[..{}]", corpus.len());
-        self.run_cells_journaled(
-            &corpus,
-            &campaign,
-            &JournalOpts {
-                path,
-                repeats,
-                workers,
-                resume,
-            },
-            ctrl,
-        )
-    }
-
-    fn run_cells_journaled(
-        &self,
-        corpus: &[GeneratedDag],
-        campaign: &str,
-        opts: &JournalOpts<'_>,
-        ctrl: &RunControl,
-    ) -> Result<JournaledGrid, JournalError> {
-        let expected = (corpus.len() * SimVariant::ALL.len() * 2) as u64;
-        let header = JournalHeader {
-            format: FORMAT_V1.to_string(),
-            campaign: campaign.to_string(),
-            seed: self.testbed.base_seed,
-            repeats: opts.repeats,
-            cells_expected: expected,
-            config_digest: self.config_digest(),
-            isolation: "inproc".to_string(),
-            request: String::new(),
-        };
-
+        let (corpus, campaign) = paper_campaign(&corpus, subset);
+        let header = self.grid_header(&campaign, corpus.len(), repeats, "inproc", "");
         let env = self.io_env().clone();
         let (resumed_cells, mut writer, salvage_dropped_bytes) =
-            open_grid_journal(&*env, opts.path, &header, opts.resume)?;
+            open_grid_journal(&*env, path, &header, resume)?;
 
         let done: HashSet<&str> = resumed_cells.iter().map(|(k, _)| k.as_str()).collect();
-        let pending = pending_specs(corpus, &done, opts.repeats);
-
-        // Workers pull cells from a shared cursor and stream completions
-        // to the dedicated writer thread; the journal is the only place
-        // results accumulate, so a kill at any instant loses at most the
-        // cells in flight.
-        let workers = opts.workers.max(1).min(pending.len().max(1));
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(String, CellResult)>();
-
-        let written: Result<Vec<(String, CellResult)>, JournalError> =
-            crossbeam::thread::scope(|scope| {
-                let writer = &mut writer;
-                let writer_handle = scope.spawn(move |_| -> Result<_, JournalError> {
-                    let mut new_cells = Vec::new();
-                    for (key, cell) in rx.iter() {
-                        let payload =
-                            serde_json::to_string(&cell).map_err(|e| JournalError::Serde {
-                                what: "cell result",
-                                err: e.to_string(),
-                            })?;
-                        writer.append_record(&key, &payload)?;
-                        new_cells.push((key, cell));
-                    }
-                    Ok(new_cells)
-                });
-
-                let next = &next;
-                let pending = &pending[..];
-                let mut worker_handles = Vec::with_capacity(workers);
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    worker_handles.push(scope.spawn(move |_| loop {
-                        if ctrl.should_stop().is_some() {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= pending.len() {
-                            break;
-                        }
-                        let spec = &pending[i];
-                        let g = &corpus[spec.dag];
-                        let algo = algo_of(spec.algo);
-                        // `run_one_caught`: a panicking cell becomes a
-                        // journaled Crashed record, not a dead campaign.
-                        let cell = self.run_one_caught(g, spec.variant, algo, opts.repeats);
-                        let key = cell_key(
-                            &g.name(),
-                            g.params.matrix_size,
-                            spec.variant,
-                            algo.name(),
-                            opts.repeats,
-                        );
-                        // The writer only disappears on a journal error;
-                        // stop producing in that case.
-                        if tx.send((key, cell)).is_err() {
-                            break;
-                        }
-                        ctrl.pace();
-                    }));
-                }
-                drop(tx);
-                for h in worker_handles {
-                    h.join().expect("grid worker panicked");
-                }
-                writer_handle.join().expect("journal writer panicked")
-            })
-            .expect("worker scope panicked");
-
-        let new_cells = written?;
+        let pending = pending_specs(corpus, &done, repeats);
+        let mut new_cells = Vec::new();
+        self.drive_cells(
+            corpus,
+            &pending,
+            repeats,
+            workers,
+            self.disturb.as_ref(),
+            ctrl,
+            &mut |key, cell| {
+                let payload = serde_json::to_string(&cell).map_err(|e| JournalError::Serde {
+                    what: "cell result",
+                    err: e.to_string(),
+                })?;
+                writer.append_record(&key, &payload)?;
+                new_cells.push((key, cell));
+                Ok(())
+            },
+        )?;
         writer.sync()?;
 
         finalize_grid(
             &*env,
-            opts.path,
-            campaign,
-            expected,
+            Some(path),
+            &campaign,
+            header.cells_expected,
             resumed_cells,
             new_cells,
             salvage_dropped_bytes,
@@ -410,7 +301,7 @@ mod tests {
         let plain = h.run_subset(2, 1);
 
         let first = h
-            .run_subset_journaled(2, &path, 1, 3, false, &RunControl::unlimited())
+            .run_grid_journaled(Some(2), &path, 1, 3, false, &RunControl::unlimited())
             .unwrap();
         assert_eq!(first.status, GridStatus::Complete);
         assert_eq!(first.resumed, 0);
@@ -420,7 +311,7 @@ mod tests {
 
         // Resuming a complete journal recomputes nothing.
         let again = h
-            .run_subset_journaled(2, &path, 1, 3, true, &RunControl::unlimited())
+            .run_grid_journaled(Some(2), &path, 1, 3, true, &RunControl::unlimited())
             .unwrap();
         assert_eq!(again.status, GridStatus::Complete);
         assert_eq!(again.computed, 0);
@@ -436,10 +327,10 @@ mod tests {
     fn refusing_to_clobber_an_existing_journal() {
         let h = Harness::new(7);
         let path = scratch("clobber");
-        h.run_subset_journaled(1, &path, 1, 2, false, &RunControl::unlimited())
+        h.run_grid_journaled(Some(1), &path, 1, 2, false, &RunControl::unlimited())
             .unwrap();
         assert!(matches!(
-            h.run_subset_journaled(1, &path, 1, 2, false, &RunControl::unlimited()),
+            h.run_grid_journaled(Some(1), &path, 1, 2, false, &RunControl::unlimited()),
             Err(JournalError::AlreadyExists { .. })
         ));
     }
@@ -452,7 +343,7 @@ mod tests {
         // clean (empty) checkpoint.
         let ctrl = RunControl::unlimited().with_deadline_in(Duration::ZERO);
         let stopped = h
-            .run_subset_journaled(2, &path, 1, 3, false, &ctrl)
+            .run_grid_journaled(Some(2), &path, 1, 3, false, &ctrl)
             .unwrap();
         assert_eq!(stopped.status, GridStatus::DeadlineExpired);
         assert_eq!(stopped.computed, 0);
@@ -461,7 +352,7 @@ mod tests {
         assert_eq!(m.status, "deadline");
 
         let finished = h
-            .run_subset_journaled(2, &path, 1, 3, true, &RunControl::unlimited())
+            .run_grid_journaled(Some(2), &path, 1, 3, true, &RunControl::unlimited())
             .unwrap();
         assert_eq!(finished.status, GridStatus::Complete);
         assert_eq!(finished.cells, h.run_subset(2, 1));
@@ -475,7 +366,7 @@ mod tests {
         token.cancel(); // latched before the run: drains immediately
         let ctrl = RunControl::unlimited().with_cancel(token);
         let stopped = h
-            .run_subset_journaled(2, &path, 1, 3, false, &ctrl)
+            .run_grid_journaled(Some(2), &path, 1, 3, false, &ctrl)
             .unwrap();
         assert_eq!(stopped.status, GridStatus::Interrupted);
         assert_eq!(
@@ -484,7 +375,7 @@ mod tests {
         );
 
         let finished = h
-            .run_subset_journaled(2, &path, 1, 3, true, &RunControl::unlimited())
+            .run_grid_journaled(Some(2), &path, 1, 3, true, &RunControl::unlimited())
             .unwrap();
         assert_eq!(finished.status, GridStatus::Complete);
         assert_eq!(finished.cells, h.run_subset(2, 1));
@@ -494,18 +385,18 @@ mod tests {
     fn resume_under_a_different_config_is_rejected() {
         let h = Harness::new(7);
         let path = scratch("mismatch");
-        h.run_subset_journaled(1, &path, 1, 2, false, &RunControl::unlimited())
+        h.run_grid_journaled(Some(1), &path, 1, 2, false, &RunControl::unlimited())
             .unwrap();
 
         // Different base seed.
         let other = Harness::new(8);
         assert!(matches!(
-            other.run_subset_journaled(1, &path, 1, 2, true, &RunControl::unlimited()),
+            other.run_grid_journaled(Some(1), &path, 1, 2, true, &RunControl::unlimited()),
             Err(JournalError::HeaderMismatch { field: "seed", .. })
         ));
         // Different repeat block.
         assert!(matches!(
-            h.run_subset_journaled(1, &path, 2, 2, true, &RunControl::unlimited()),
+            h.run_grid_journaled(Some(1), &path, 2, 2, true, &RunControl::unlimited()),
             Err(JournalError::HeaderMismatch {
                 field: "repeats",
                 ..
@@ -518,7 +409,7 @@ mod tests {
                 .build(),
         );
         assert!(matches!(
-            faulty.run_subset_journaled(1, &path, 1, 2, true, &RunControl::unlimited()),
+            faulty.run_grid_journaled(Some(1), &path, 1, 2, true, &RunControl::unlimited()),
             Err(JournalError::HeaderMismatch {
                 field: "config_digest",
                 ..
@@ -531,7 +422,7 @@ mod tests {
         let h = Harness::new(7);
         let path = scratch("tamper");
         let full = h
-            .run_subset_journaled(1, &path, 1, 2, false, &RunControl::unlimited())
+            .run_grid_journaled(Some(1), &path, 1, 2, false, &RunControl::unlimited())
             .unwrap();
         assert_eq!(full.status, GridStatus::Complete);
 
@@ -547,7 +438,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let resumed = h
-            .run_subset_journaled(1, &path, 1, 2, true, &RunControl::unlimited())
+            .run_grid_journaled(Some(1), &path, 1, 2, true, &RunControl::unlimited())
             .unwrap();
         assert_eq!(resumed.status, GridStatus::Complete);
         assert!(resumed.salvage_dropped_bytes > 0, "tail must be dropped");
@@ -568,7 +459,7 @@ mod tests {
         }]);
         let path = scratch("poison");
         let first = h
-            .run_subset_journaled(1, &path, 1, 2, false, &RunControl::unlimited())
+            .run_grid_journaled(Some(1), &path, 1, 2, false, &RunControl::unlimited())
             .unwrap();
         assert_eq!(first.status, GridStatus::Complete);
         assert_eq!(first.computed, 6, "poison cell still gets a record");
@@ -591,7 +482,7 @@ mod tests {
         // Resume recomputes nothing — in particular it does NOT retry the
         // poison cell (which would panic again).
         let again = h
-            .run_subset_journaled(1, &path, 1, 2, true, &RunControl::unlimited())
+            .run_grid_journaled(Some(1), &path, 1, 2, true, &RunControl::unlimited())
             .unwrap();
         assert_eq!(again.computed, 0);
         assert_eq!(again.resumed, 6);

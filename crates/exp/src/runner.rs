@@ -11,13 +11,17 @@
 //! regression for §VII — exactly the order of operations the authors
 //! followed.
 
-use std::sync::{Arc, OnceLock};
+use std::collections::HashSet;
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
 use mps_core::dag::gen::{paper_corpus, GeneratedDag, PAPER_CORPUS_SEED};
 use mps_core::faults::io::IoEnv;
 use mps_core::faults::{DisturbReport, DisturbancePlan, FaultPlan, RecoveryPolicy};
+use mps_core::journal::RunControl;
 use mps_core::model::{EmpiricalModel, PerfModel, ProfileModel};
 use mps_core::platform::{Cluster, ClusterSpec, HostId};
 use mps_core::sched::{AllocKey, AllocationEngine, Hcpa, Mcpa, Schedule, Scheduler};
@@ -211,6 +215,25 @@ pub struct CellResult {
 pub const ERROR_PCT_SENTINEL: f64 = -1.0;
 
 impl CellResult {
+    /// A cell of `g` with no measurement yet: zero makespans, no runs.
+    pub(crate) fn unmeasured(
+        g: &GeneratedDag,
+        variant: SimVariant,
+        algo: &str,
+        outcome: CellOutcome,
+    ) -> Self {
+        CellResult {
+            dag: g.name(),
+            n: g.params.matrix_size,
+            variant,
+            algo: algo.to_string(),
+            sim_makespan: 0.0,
+            real_makespan: 0.0,
+            real_runs: Vec::new(),
+            outcome,
+        }
+    }
+
     /// Absolute relative simulation error in percent (the Fig. 8 metric),
     /// or [`ERROR_PCT_SENTINEL`] when the cell has no usable measurement.
     pub fn error_pct(&self) -> f64 {
@@ -634,16 +657,7 @@ impl Harness {
                 }
             }
         }
-        let mut cell = CellResult {
-            dag: g.name(),
-            n: g.params.matrix_size,
-            variant,
-            algo: algo.name().to_string(),
-            sim_makespan: 0.0,
-            real_makespan: 0.0,
-            real_runs: Vec::new(),
-            outcome: CellOutcome::Full,
-        };
+        let mut cell = CellResult::unmeasured(g, variant, algo.name(), CellOutcome::Full);
         // Schedule + simulate under the cell's model, reusing the warm
         // engine (keyed: HCPA pre-pays MCPA's τ-table on the same DAG and
         // model) and the simulator-side executor slab. A simulator
@@ -703,16 +717,7 @@ impl Harness {
         repeats: u64,
     ) -> CellResult {
         let cluster = self.nominal.clone();
-        let mut cell = CellResult {
-            dag: g.name(),
-            n: g.params.matrix_size,
-            variant,
-            algo: algo.name().to_string(),
-            sim_makespan: 0.0,
-            real_makespan: 0.0,
-            real_runs: Vec::new(),
-            outcome: CellOutcome::Full,
-        };
+        let mut cell = CellResult::unmeasured(g, variant, algo.name(), CellOutcome::Full);
         let sim_out = match variant {
             SimVariant::Analytic => {
                 Simulator::new(cluster, mps_core::model::AnalyticModel::paper_jvm())
@@ -752,25 +757,14 @@ impl Harness {
         cell
     }
 
-    /// [`Harness::run_one`] under a `catch_unwind` safety net: a
-    /// panicking cell becomes a [`CellOutcome::Crashed`] record instead of
-    /// tearing down the whole in-process worker pool. This is the in-proc
-    /// counterpart of process isolation — it cannot contain hangs or
-    /// aborts (use `--isolation process` for those), but it turns the
-    /// most common poison, a deterministic panic, into a journaled cell.
+    /// One cell under a `catch_unwind` safety net: a panicking cell
+    /// becomes a [`CellOutcome::Crashed`] record instead of tearing down
+    /// the whole in-process worker pool. This is the in-proc counterpart
+    /// of process isolation — it cannot contain hangs or aborts (use
+    /// `--isolation process` for those), but it turns the most common
+    /// poison, a deterministic panic, into a journaled cell. `disturb` is
+    /// explicit as in [`Harness::run_one_with_slab`].
     pub(crate) fn run_one_caught(
-        &self,
-        g: &GeneratedDag,
-        variant: SimVariant,
-        algo: &dyn Scheduler,
-        repeats: u64,
-    ) -> CellResult {
-        self.run_one_caught_disturb(g, variant, algo, repeats, self.disturb.as_ref())
-    }
-
-    /// [`Harness::run_one_caught`] with an explicit disturbance
-    /// configuration (see [`Harness::run_one_with_slab`]).
-    pub(crate) fn run_one_caught_disturb(
         &self,
         g: &GeneratedDag,
         variant: SimVariant,
@@ -785,15 +779,11 @@ impl Harness {
             })
         })) {
             Ok(cell) => cell,
-            Err(payload) => CellResult {
-                dag: g.name(),
-                n: g.params.matrix_size,
+            Err(payload) => CellResult::unmeasured(
+                g,
                 variant,
-                algo: algo.name().to_string(),
-                sim_makespan: 0.0,
-                real_makespan: 0.0,
-                real_runs: Vec::new(),
-                outcome: CellOutcome::Crashed {
+                algo.name(),
+                CellOutcome::Crashed {
                     report: CrashReport::single(
                         AttemptOutcome::Panicked {
                             message: panic_message(payload.as_ref()),
@@ -801,57 +791,110 @@ impl Harness {
                         start.elapsed().as_millis() as u64,
                     ),
                 },
-            },
+            ),
         }
     }
 
-    /// Shared worker pool: runs every (DAG, variant, algo) cell for
-    /// `corpus`, DAGs dispatched work-stealing-style over `workers`
-    /// threads. Per-cell work is independent (the harness is only read),
-    /// so the result set — canonically ordered by (dag, variant, algo) —
-    /// is identical for any worker count.
+    /// The one in-process cell driver behind every grid path: in-memory,
+    /// journaled, and both daemon tiers. Computes the `pending` cells of
+    /// `corpus` and hands each to `sink` as `(key, cell)`.
     ///
-    /// Results land in pre-sized write-once slots (one per cell, indexed
-    /// by dispatch position) instead of a shared locked vector, and the
-    /// canonical output order falls out of a precomputed permutation
-    /// rather than a post-sort of the arrival order.
-    fn run_cells(&self, corpus: &[GeneratedDag], repeats: u64, workers: usize) -> Vec<CellResult> {
-        let workers = workers.max(1).min(corpus.len().max(1));
-        let n_cells = corpus.len() * CELLS_PER_DAG;
-        let slots: Vec<OnceLock<CellResult>> = std::iter::repeat_with(OnceLock::new)
-            .take(n_cells)
-            .collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
+    /// Cells are dispatched one DAG group (a run of pending cells on the
+    /// same DAG) at a time from a shared cursor, so HCPA pre-pays MCPA's
+    /// keyed τ-table on every path. The calling thread is one of the
+    /// `workers`: it spawns `workers - 1` threads that send finished
+    /// cells over a channel, and between its own cells drains that
+    /// channel into `sink` — so `workers = 1` runs inline, and `sink`
+    /// only ever runs on the calling thread. `ctrl` is checked before
+    /// every cell and paces after it. The first sink error halts the run
+    /// (cells still in flight are dropped) and is returned.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn drive_cells<E>(
+        &self,
+        corpus: &[GeneratedDag],
+        pending: &[CellSpec],
+        repeats: u64,
+        workers: usize,
+        disturb: Option<&DisturbConfig>,
+        ctrl: &RunControl,
+        sink: &mut dyn FnMut(String, CellResult) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let groups: Vec<&[CellSpec]> = pending.chunk_by(|a, b| a.dag == b.dag).collect();
+        let workers = workers.max(1).min(groups.len().max(1));
+        let next = AtomicUsize::new(0);
+        let halt = AtomicBool::new(false);
+        // Computes groups off the cursor until they run out, the run is
+        // stopped, or `out` refuses a cell.
+        let work = |out: &mut dyn FnMut(String, CellResult) -> bool| {
+            while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
+                for spec in *group {
+                    if halt.load(Ordering::Relaxed) || ctrl.should_stop().is_some() {
+                        return;
+                    }
+                    let g = &corpus[spec.dag];
+                    let algo = algo_of(spec.algo);
+                    let cell = self.run_one_caught(g, spec.variant, algo, repeats, disturb);
+                    if !out(spec.key(corpus, repeats), cell) {
+                        return;
+                    }
+                    ctrl.pace();
+                }
+            }
+        };
 
+        let mut failed = None;
+        let mut deliver = |key, cell| {
+            if failed.is_none() {
+                if let Err(e) = sink(key, cell) {
+                    failed = Some(e);
+                    halt.store(true, Ordering::Relaxed);
+                }
+            }
+        };
+        let (tx, rx) = mpsc::channel::<(String, CellResult)>();
         crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= corpus.len() {
-                        break;
-                    }
-                    let g = &corpus[i];
-                    let mut slot = i * CELLS_PER_DAG;
-                    for variant in SimVariant::ALL {
-                        for algo in [&Hcpa as &dyn Scheduler, &Mcpa] {
-                            let cell = self.run_one_caught(g, variant, algo, repeats);
-                            slots[slot]
-                                .set(cell)
-                                .unwrap_or_else(|_| unreachable!("cell slot written twice"));
-                            slot += 1;
-                        }
-                    }
-                });
+            for _ in 1..workers {
+                let tx = tx.clone();
+                let work = &work;
+                scope.spawn(move |_| work(&mut |key, cell| tx.send((key, cell)).is_ok()));
+            }
+            drop(tx);
+            work(&mut |key, cell| {
+                deliver(key, cell);
+                while let Ok((key, cell)) = rx.try_recv() {
+                    deliver(key, cell);
+                }
+                !halt.load(Ordering::Relaxed)
+            });
+            // Own share done: collect what the other workers still finish.
+            for (key, cell) in rx {
+                deliver(key, cell);
             }
         })
-        .expect("worker panicked");
+        .expect("grid worker panicked");
+        failed.map_or(Ok(()), Err)
+    }
 
-        let mut cells: Vec<Option<CellResult>> =
-            slots.into_iter().map(OnceLock::into_inner).collect();
-        canonical_order(corpus)
-            .into_iter()
-            .map(|j| cells[j].take().expect("worker pool completed every cell"))
-            .collect()
+    /// The in-memory grid over `corpus`: every cell, canonically ordered
+    /// by (dag, variant, algo) — identical for any worker count, since
+    /// per-cell work is independent (the harness is only read).
+    fn run_cells(&self, corpus: &[GeneratedDag], repeats: u64, workers: usize) -> Vec<CellResult> {
+        let pending = pending_specs(corpus, &HashSet::new(), repeats);
+        let mut cells = Vec::with_capacity(pending.len());
+        let Ok(()) = self.drive_cells::<Infallible>(
+            corpus,
+            &pending,
+            repeats,
+            workers,
+            self.disturb.as_ref(),
+            &RunControl::unlimited(),
+            &mut |_, cell| {
+                cells.push(cell);
+                Ok(())
+            },
+        );
+        sort_cells_canonical(&mut cells);
+        cells
     }
 
     /// Worker-pool size used when the caller does not pin one.
@@ -905,8 +948,7 @@ impl Harness {
         repeats: u64,
         workers: usize,
     ) -> Vec<CellResult> {
-        let corpus: Vec<GeneratedDag> = self.corpus().iter().take(take).cloned().collect();
-        self.run_cells(&corpus, repeats, workers)
+        self.run_cells(subset(&self.corpus(), Some(take)), repeats, workers)
     }
 
     /// Computes one schedule (no simulation, no testbed execution) with
@@ -951,21 +993,49 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Cells per DAG in the grid: 3 variants × {HCPA, MCPA}.
 pub(crate) const CELLS_PER_DAG: usize = SimVariant::ALL.len() * 2;
 
-/// The permutation taking dispatch-order cell slots (corpus order ×
-/// [`SimVariant::ALL`] × {HCPA, MCPA}) to the canonical (dag, variant,
-/// algo) output order — the exact order [`sort_cells_canonical`]
-/// produces, computed once up front instead of sorting results.
-fn canonical_order(corpus: &[GeneratedDag]) -> Vec<usize> {
-    let names: Vec<String> = corpus.iter().map(|g| g.name()).collect();
-    let key = |j: usize| {
-        let (dag, rest) = (j / CELLS_PER_DAG, j % CELLS_PER_DAG);
-        let variant = SimVariant::ALL[rest / 2];
-        let algo = if rest % 2 == 0 { "HCPA" } else { "MCPA" };
-        (names[dag].as_str(), variant.name(), algo)
-    };
-    let mut order: Vec<usize> = (0..corpus.len() * CELLS_PER_DAG).collect();
-    order.sort_by(|&a, &b| key(a).cmp(&key(b)));
-    order
+/// The corpus prefix a grid covers: the first `take` DAGs, or all of them.
+pub(crate) fn subset(corpus: &[GeneratedDag], take: Option<usize>) -> &[GeneratedDag] {
+    &corpus[..take.map_or(corpus.len(), |t| t.min(corpus.len()))]
+}
+
+/// One grid cell to compute: an index into the corpus slice, the
+/// simulator version, and an index into the fixed `{HCPA, MCPA}` order.
+pub(crate) struct CellSpec {
+    pub(crate) dag: usize,
+    pub(crate) variant: SimVariant,
+    pub(crate) algo: usize,
+}
+
+impl CellSpec {
+    /// This cell's journal key (see [`cell_key`]).
+    pub(crate) fn key(&self, corpus: &[GeneratedDag], repeats: u64) -> String {
+        let g = &corpus[self.dag];
+        let algo = algo_of(self.algo).name();
+        cell_key(&g.name(), g.params.matrix_size, self.variant, algo, repeats)
+    }
+}
+
+pub(crate) fn algo_of(i: usize) -> &'static dyn Scheduler {
+    match i {
+        0 => &Hcpa,
+        _ => &Mcpa,
+    }
+}
+
+/// The (dag, variant, algo) cells whose keys are not yet in `done`, in
+/// corpus order — so each DAG's pending cells are contiguous.
+pub(crate) fn pending_specs(
+    corpus: &[GeneratedDag],
+    done: &HashSet<&str>,
+    repeats: u64,
+) -> Vec<CellSpec> {
+    let all = (0..corpus.len()).flat_map(|dag| {
+        SimVariant::ALL
+            .into_iter()
+            .flat_map(move |variant| (0..2).map(move |algo| CellSpec { dag, variant, algo }))
+    });
+    all.filter(|c| done.is_empty() || !done.contains(c.key(corpus, repeats).as_str()))
+        .collect()
 }
 
 /// Canonical grid order: by dag name, then variant, then algo — the

@@ -1,17 +1,21 @@
 //! The production [`Backend`] behind `repro serve`: executes
 //! `mps-proto/v1` work requests against a [`Harness`].
 //!
-//! Three durability tiers, picked by configuration:
+//! Three durability tiers, picked by configuration. The first two are one
+//! code path: `SubsetGrid` requests run the in-process cell driver
+//! inline on the executor thread (no writer thread), its sink an
+//! optional journal append followed by the stream emit.
 //!
 //! * **Ephemeral** (no state dir): cells are computed and streamed,
 //!   nothing touches disk. A killed daemon loses in-flight work.
 //! * **Journaled** (state dir): every `SubsetGrid` request gets a
 //!   write-ahead journal named by the FNV-64 of its request JSON + the
-//!   harness config digest. A resubmitted request *replays* the
-//!   journaled prefix byte-for-byte and computes only the remainder; a
-//!   restarted daemon finishes interrupted journals at startup
-//!   ([`ServeBackend::recover`]) because the journal header carries the
-//!   verbatim request.
+//!   harness config digest, and each cell is appended before it is
+//!   streamed, so a kill loses at most the cell in flight. A resubmitted
+//!   request *replays* the journaled prefix byte-for-byte and computes
+//!   only the remainder; a restarted daemon finishes interrupted
+//!   journals at startup ([`ServeBackend::recover`]) because the journal
+//!   header carries the verbatim request.
 //! * **Process-isolated** (state dir + worker command): cells run in
 //!   supervised child processes — a poison request is quarantined cell
 //!   by cell instead of taking the daemon down.
@@ -20,17 +24,20 @@
 //! cannot tell a replayed cell from a freshly computed one.
 
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use mps_core::dag::gen::GeneratedDag;
 use mps_core::faults::{DisturbancePlan, RecoveryPolicy, DISTURB_HORIZON};
-use mps_core::journal::{self, fnv64, JournalHeader, RunControl, StopReason, FORMAT_V1};
+use mps_core::journal::{self, fnv64, RunControl};
 use mps_core::online::{OnlineAlgo, OnlineConfig, OnlineEngine};
 use mps_core::sched::Scheduler;
 use mps_core::serve::{Backend, ServeError, WorkRequest, WorkSummary};
 
-use crate::journaled::{algo_of, finalize_grid, open_grid_journal, pending_specs, JournaledGrid};
-use crate::runner::{cell_key, CellOutcome, CellResult, DisturbConfig, Harness, SimVariant};
+use crate::journaled::{finalize_grid, open_grid_journal, JournaledGrid};
+use crate::runner::{
+    algo_of, cell_key, pending_specs, subset, CellOutcome, CellResult, DisturbConfig, Harness,
+    SimVariant,
+};
 use crate::supervised::{SuperviseOpts, WorkerCommand};
 
 /// Hard cap on the event horizon a client can request from the daemon
@@ -163,7 +170,7 @@ impl ServeBackend {
             } => {
                 let r = self.resolve(*dag, variant, algo)?;
                 let cfg = parse_disturb(disturb.as_ref())?;
-                let cell = self.harness.run_one_caught_disturb(
+                let cell = self.harness.run_one_caught(
                     r.g,
                     r.variant,
                     r.algo,
@@ -227,117 +234,70 @@ impl ServeBackend {
         Ok(summary)
     }
 
-    /// Ephemeral grid: compute and stream, nothing durable.
-    fn run_grid_ephemeral(
-        &self,
-        take: usize,
-        repeats: u64,
-        disturb: Option<&DisturbConfig>,
-        ctrl: &RunControl,
-        emit: &mut dyn FnMut(&str, &str) -> bool,
-    ) -> Result<WorkSummary, ServeError> {
-        let corpus: Vec<GeneratedDag> = self.corpus.iter().take(take).cloned().collect();
-        let pending = pending_specs(&corpus, &HashSet::new(), repeats);
-        let mut summary = WorkSummary {
-            status: "complete".to_string(),
-            ..WorkSummary::default()
-        };
-        for cs in &pending {
-            if let Some(reason) = ctrl.should_stop() {
-                summary.status = status_of(reason).to_string();
-                break;
-            }
-            ctrl.pace();
-            let g = &corpus[cs.dag];
-            let algo = algo_of(cs.algo);
-            let cell = self
-                .harness
-                .run_one_caught_disturb(g, cs.variant, algo, repeats, disturb);
-            let key = cell_key(
-                &g.name(),
-                g.params.matrix_size,
-                cs.variant,
-                algo.name(),
-                repeats,
-            );
-            if cell.outcome.crash_report().is_some() {
-                summary.quarantined += 1;
-            }
-            tally_disturb(&mut summary, &cell);
-            let payload = encode(&cell)?;
-            emit(&key, &payload);
-            summary.cells += 1;
-            summary.computed += 1;
-        }
-        Ok(summary)
-    }
-
-    /// Journaled in-process grid: replay the journal's prefix verbatim,
-    /// compute and journal the remainder, write the manifest.
+    /// In-process grid, ephemeral or journaled: replay the journal's
+    /// prefix verbatim (if there is a journal), then run the cell driver
+    /// inline with a sink that appends each cell to the journal before
+    /// streaming it, and write the manifest.
     #[allow(clippy::too_many_arguments)]
-    fn run_grid_journaled(
+    fn run_grid(
         &self,
         take: usize,
         repeats: u64,
         disturb: Option<&DisturbConfig>,
         work_json: &str,
-        path: &std::path::Path,
+        journal: Option<&Path>,
         ctrl: &RunControl,
         emit: &mut dyn FnMut(&str, &str) -> bool,
     ) -> Result<WorkSummary, ServeError> {
-        let corpus: Vec<GeneratedDag> = self.corpus.iter().take(take).cloned().collect();
-        let expected = (corpus.len() * SimVariant::ALL.len() * 2) as u64;
-        let header = JournalHeader {
-            format: FORMAT_V1.to_string(),
-            campaign: format!("serve[..{}]", corpus.len()),
-            seed: self.harness.testbed.base_seed,
-            repeats,
-            cells_expected: expected,
-            config_digest: self.harness.config_digest(),
-            isolation: "serve".to_string(),
-            request: work_json.to_string(),
-        };
-        let env = self.harness.io_env().clone();
-        let (resumed_cells, mut writer, dropped) =
-            open_grid_journal(&*env, path, &header, path.exists()).map_err(backend_err)?;
-        // Replay: re-serializing a parsed `CellResult` reproduces the
-        // journaled bytes exactly (same serializer, same field order),
-        // so a resumed stream is byte-identical to the original.
-        for (key, cell) in &resumed_cells {
-            emit(key, &encode(cell)?);
-        }
-        let done: HashSet<&str> = resumed_cells.iter().map(|(k, _)| k.as_str()).collect();
-        let pending = pending_specs(&corpus, &done, repeats);
-        let mut new_cells = Vec::new();
-        for cs in &pending {
-            if ctrl.should_stop().is_some() {
-                break;
-            }
-            ctrl.pace();
-            let g = &corpus[cs.dag];
-            let algo = algo_of(cs.algo);
-            let cell = self
-                .harness
-                .run_one_caught_disturb(g, cs.variant, algo, repeats, disturb);
-            let key = cell_key(
-                &g.name(),
-                g.params.matrix_size,
-                cs.variant,
-                algo.name(),
-                repeats,
-            );
-            let payload = encode(&cell)?;
-            writer.append_record(&key, &payload).map_err(backend_err)?;
-            emit(&key, &payload);
-            new_cells.push((key, cell));
-        }
-        writer.sync().map_err(backend_err)?;
+        let corpus = subset(&self.corpus, Some(take));
         let campaign = format!("serve[..{}]", corpus.len());
+        let header = self
+            .harness
+            .grid_header(&campaign, corpus.len(), repeats, "serve", work_json);
+        let env = self.harness.io_env().clone();
+        let (resumed_cells, mut writer, dropped) = match journal {
+            Some(path) => {
+                let (cells, writer, dropped) =
+                    open_grid_journal(&*env, path, &header, path.exists()).map_err(backend_err)?;
+                // Replay: re-serializing a parsed `CellResult` reproduces
+                // the journaled bytes exactly (same serializer, same field
+                // order), so a resumed stream is byte-identical to the
+                // original.
+                for (key, cell) in &cells {
+                    emit(key, &encode(cell)?);
+                }
+                (cells, Some(writer), dropped)
+            }
+            None => (Vec::new(), None, 0),
+        };
+        let done: HashSet<&str> = resumed_cells.iter().map(|(k, _)| k.as_str()).collect();
+        let pending = pending_specs(corpus, &done, repeats);
+        let mut new_cells = Vec::new();
+        self.harness.drive_cells::<ServeError>(
+            corpus,
+            &pending,
+            repeats,
+            1,
+            disturb,
+            ctrl,
+            &mut |key, cell| {
+                let payload = encode(&cell)?;
+                if let Some(w) = writer.as_mut() {
+                    w.append_record(&key, &payload).map_err(backend_err)?;
+                }
+                emit(&key, &payload);
+                new_cells.push((key, cell));
+                Ok(())
+            },
+        )?;
+        if let Some(w) = writer.as_mut() {
+            w.sync().map_err(backend_err)?;
+        }
         let grid = finalize_grid(
             &*env,
-            path,
+            journal,
             &campaign,
-            expected,
+            header.cells_expected,
             resumed_cells,
             new_cells,
             dropped,
@@ -399,13 +359,6 @@ struct Resolved<'a> {
     algo: &'a dyn Scheduler,
 }
 
-fn status_of(reason: StopReason) -> &'static str {
-    match reason {
-        StopReason::Cancelled => "interrupted",
-        StopReason::DeadlineExpired => "deadline",
-    }
-}
-
 fn encode<T: serde::Serialize>(value: &T) -> Result<String, ServeError> {
     serde_json::to_string(value).map_err(|e| ServeError::Backend {
         reason: format!("encode payload: {e}"),
@@ -452,34 +405,39 @@ impl Backend for ServeBackend {
                 let work_json = encode(work)?;
                 let cfg = parse_disturb(disturb.as_ref())?;
                 let eff = cfg.as_ref().or(self.harness.disturb.as_ref());
-                match &self.state_dir {
-                    None => self.run_grid_ephemeral(*take, *repeats, eff, ctrl, emit),
+                let path = match &self.state_dir {
                     Some(dir) => {
                         std::fs::create_dir_all(dir).map_err(backend_err)?;
-                        let path = self.journal_path(dir, &work_json);
-                        match &self.worker {
-                            Some((cmd, opts)) => {
-                                if cfg.is_some() {
-                                    // Worker processes get their plan via
-                                    // startup flags; a per-request plan
-                                    // cannot reach them.
-                                    return Err(ServeError::Backend {
-                                        reason: "per-request disturbance plans require \
-                                                 in-process cell execution (this daemon \
-                                                 runs --isolation process; pass --disturb \
-                                                 at daemon startup instead)"
-                                            .to_string(),
-                                    });
-                                }
-                                self.run_grid_supervised(
-                                    *take, *repeats, &work_json, &path, cmd, opts, ctrl, emit,
-                                )
-                            }
-                            None => self.run_grid_journaled(
-                                *take, *repeats, eff, &work_json, &path, ctrl, emit,
-                            ),
-                        }
+                        Some(self.journal_path(dir, &work_json))
                     }
+                    None => None,
+                };
+                match (&self.worker, &path) {
+                    (Some((cmd, opts)), Some(path)) => {
+                        if cfg.is_some() {
+                            // Worker processes get their plan via startup
+                            // flags; a per-request plan cannot reach them.
+                            return Err(ServeError::Backend {
+                                reason: "per-request disturbance plans require \
+                                         in-process cell execution (this daemon \
+                                         runs --isolation process; pass --disturb \
+                                         at daemon startup instead)"
+                                    .to_string(),
+                            });
+                        }
+                        self.run_grid_supervised(
+                            *take, *repeats, &work_json, path, cmd, opts, ctrl, emit,
+                        )
+                    }
+                    _ => self.run_grid(
+                        *take,
+                        *repeats,
+                        eff,
+                        &work_json,
+                        path.as_deref(),
+                        ctrl,
+                        emit,
+                    ),
                 }
             }
         }

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use mps_core::dag::gen::GeneratedDag;
-use mps_core::journal::{JournalHeader, JournalWriter, RunControl, FORMAT_V1};
+use mps_core::journal::{JournalWriter, RunControl};
 use mps_core::supervise::{
     read_frame, write_frame, Action, Attempt, AttemptOutcome, CrashReport, Disposition,
     SuperviseError, Supervisor, SupervisorConfig, WorkerDeath, WorkerHello, WorkerProcess,
@@ -39,10 +39,10 @@ use mps_core::supervise::{
 };
 use mps_core::MpsError;
 
-use crate::journaled::{
-    algo_of, finalize_grid, open_grid_journal, pending_specs, CellSpec, JournaledGrid,
+use crate::journaled::{finalize_grid, open_grid_journal, paper_campaign, JournaledGrid};
+use crate::runner::{
+    algo_of, pending_specs, subset, CellOutcome, CellResult, CellSpec, Harness, SimVariant,
 };
-use crate::runner::{cell_key, CellOutcome, CellResult, Harness, SimVariant};
 
 /// Supervisor → worker: run this cell. Indices refer to the deterministic
 /// paper corpus and the fixed `{HCPA, MCPA}` algorithm order, which both
@@ -146,13 +146,12 @@ pub fn serve_cells(harness: &Harness, repeats: u64) -> i32 {
                 let algo = algo_of(req.algo);
                 let repeats = req.repeats.unwrap_or(repeats);
                 let cell = harness.run_one(g, req.variant, algo, repeats);
-                let key = cell_key(
-                    &g.name(),
-                    g.params.matrix_size,
-                    req.variant,
-                    algo.name(),
-                    repeats,
-                );
+                let spec = CellSpec {
+                    dag: req.dag,
+                    variant: req.variant,
+                    algo: req.algo,
+                };
+                let key = spec.key(&corpus, repeats);
                 if write_frame(&mut output, &CellResponse { key, cell }).is_err() {
                     return 1;
                 }
@@ -226,15 +225,7 @@ struct Run<'a> {
 
 impl Run<'_> {
     fn key_of(&self, cell_idx: usize) -> String {
-        let cs = &self.pending[cell_idx];
-        let g = &self.corpus[cs.dag];
-        cell_key(
-            &g.name(),
-            g.params.matrix_size,
-            cs.variant,
-            algo_of(cs.algo).name(),
-            self.opts.repeats,
-        )
+        self.pending[cell_idx].key(self.corpus, self.opts.repeats)
     }
 
     fn journal_cell(&mut self, key: String, cell: CellResult) -> Result<(), MpsError> {
@@ -265,16 +256,12 @@ impl Run<'_> {
             let cs = &self.pending[cell_idx];
             let g = &self.corpus[cs.dag];
             let report = std::mem::take(&mut self.reports[cell_idx]);
-            let cell = CellResult {
-                dag: g.name(),
-                n: g.params.matrix_size,
-                variant: cs.variant,
-                algo: algo_of(cs.algo).name().to_string(),
-                sim_makespan: 0.0,
-                real_makespan: 0.0,
-                real_runs: Vec::new(),
-                outcome: CellOutcome::from_report(report),
-            };
+            let cell = CellResult::unmeasured(
+                g,
+                cs.variant,
+                algo_of(cs.algo).name(),
+                CellOutcome::from_report(report),
+            );
             let key = self.key_of(cell_idx);
             self.journal_cell(key, cell)?;
         }
@@ -302,45 +289,25 @@ fn is_busy(machine: &Supervisor, w: usize) -> bool {
 }
 
 impl Harness {
-    /// [`Harness::run_grid_journaled`](crate::journaled) with process
-    /// isolation: cells run in supervised child workers, poison cells are
-    /// quarantined into the journal, and the merged grid comes back with
-    /// the same contract (canonical order, resume provenance).
+    /// [`Harness::run_grid_journaled`] with process isolation, over the
+    /// paper grid or its first `n` DAGs for `subset = Some(n)`: cells run
+    /// in supervised child workers, poison cells are quarantined into the
+    /// journal, and the merged grid comes back with the same contract
+    /// (canonical order, resume provenance). Campaign names match the
+    /// in-process runner's, so a journal started under one isolation mode
+    /// resumes under the other.
     pub fn run_grid_supervised(
         &self,
+        subset: Option<usize>,
         path: &Path,
         worker: &WorkerCommand,
         opts: &SuperviseOpts,
         ctrl: &RunControl,
     ) -> Result<JournaledGrid, MpsError> {
         let corpus = self.corpus();
+        let (corpus, campaign) = paper_campaign(&corpus, subset);
         self.run_cells_supervised(
-            &corpus,
-            "paper-grid",
-            "",
-            path,
-            worker,
-            opts,
-            ctrl,
-            &mut |_, _| {},
-        )
-    }
-
-    /// [`Harness::run_grid_supervised`] over the first `take` corpus DAGs.
-    /// Campaign names match the in-process runner's, so a journal started
-    /// under one isolation mode resumes under the other.
-    pub fn run_subset_supervised(
-        &self,
-        take: usize,
-        path: &Path,
-        worker: &WorkerCommand,
-        opts: &SuperviseOpts,
-        ctrl: &RunControl,
-    ) -> Result<JournaledGrid, MpsError> {
-        let corpus: Vec<GeneratedDag> = self.corpus().iter().take(take).cloned().collect();
-        let campaign = format!("paper-grid[..{}]", corpus.len());
-        self.run_cells_supervised(
-            &corpus,
+            corpus,
             &campaign,
             "",
             path,
@@ -351,13 +318,12 @@ impl Harness {
         )
     }
 
-    /// [`Harness::run_subset_supervised`] with a streaming observer:
+    /// The serve backend's process-isolation path: a `serve[..N]`
+    /// campaign over the first `take` DAGs with a streaming observer —
     /// `on_cell(key, payload_json)` fires as each newly computed cell
-    /// becomes durable in the journal. The serve backend's process-
-    /// isolation path.
-    /// `request` is the verbatim work-request JSON stored in the journal
-    /// header so a restarted daemon can reconstruct the work from the
-    /// journal alone (empty for plain grid campaigns).
+    /// becomes durable in the journal. `request` is the verbatim
+    /// work-request JSON stored in the journal header so a restarted
+    /// daemon can reconstruct the work from the journal alone.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_subset_supervised_streaming(
         &self,
@@ -369,10 +335,11 @@ impl Harness {
         ctrl: &RunControl,
         on_cell: &mut dyn FnMut(&str, &str),
     ) -> Result<JournaledGrid, MpsError> {
-        let corpus: Vec<GeneratedDag> = self.corpus().iter().take(take).cloned().collect();
+        let corpus = self.corpus();
+        let corpus = subset(&corpus, Some(take));
         let campaign = format!("serve[..{}]", corpus.len());
         self.run_cells_supervised(
-            &corpus, &campaign, request, path, worker, opts, ctrl, on_cell,
+            corpus, &campaign, request, path, worker, opts, ctrl, on_cell,
         )
     }
 
@@ -388,17 +355,7 @@ impl Harness {
         ctrl: &RunControl,
         on_cell: &mut dyn FnMut(&str, &str),
     ) -> Result<JournaledGrid, MpsError> {
-        let expected = (corpus.len() * SimVariant::ALL.len() * 2) as u64;
-        let header = JournalHeader {
-            format: FORMAT_V1.to_string(),
-            campaign: campaign.to_string(),
-            seed: self.testbed.base_seed,
-            repeats: opts.repeats,
-            cells_expected: expected,
-            config_digest: self.config_digest(),
-            isolation: "process".to_string(),
-            request: request.to_string(),
-        };
+        let header = self.grid_header(campaign, corpus.len(), opts.repeats, "process", request);
         let env = self.io_env().clone();
         let (resumed_cells, mut writer, salvage_dropped_bytes) =
             open_grid_journal(&*env, path, &header, opts.resume)?;
@@ -435,9 +392,9 @@ impl Harness {
 
         finalize_grid(
             &*env,
-            path,
+            Some(path),
             campaign,
-            expected,
+            header.cells_expected,
             resumed_cells,
             new_cells,
             salvage_dropped_bytes,

@@ -56,7 +56,14 @@ fn point_cells(dir: &Path, point: usize) -> String {
     h.fault_plan = Some(point_fault_plan(SEED, point, POINTS, hosts));
     let path = point_journal(dir, point);
     let grid = h
-        .run_subset_journaled(SUBSET, &path, REPEATS, 1, true, &RunControl::unlimited())
+        .run_grid_journaled(
+            Some(SUBSET),
+            &path,
+            REPEATS,
+            1,
+            true,
+            &RunControl::unlimited(),
+        )
         .unwrap_or_else(|e| panic!("load {}: {e}", path.display()));
     assert_eq!(
         grid.computed, 0,

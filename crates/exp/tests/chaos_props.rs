@@ -39,7 +39,7 @@ proptest! {
         let chaotic = Harness::new(7).with_io_env(Arc::new(chaos.clone()));
         // workers=1: a single journal-writer order makes the chaos op
         // sequence (and thus the injected faults) fully deterministic.
-        match chaotic.run_subset_journaled(1, &path, 1, 1, false, &RunControl::unlimited()) {
+        match chaotic.run_grid_journaled(Some(1), &path, 1, 1, false, &RunControl::unlimited()) {
             Ok(grid) => {
                 prop_assert_eq!(grid.status, GridStatus::Complete);
                 let got = serde_json::to_string(&grid.cells).unwrap();
@@ -60,7 +60,7 @@ proptest! {
         // and the result is byte-identical to the uninterrupted run.
         let real = Harness::new(7);
         let resumed = real
-            .run_subset_journaled(1, &path, 1, 1, path.exists(), &RunControl::unlimited())
+            .run_grid_journaled(Some(1), &path, 1, 1, path.exists(), &RunControl::unlimited())
             .unwrap();
         prop_assert_eq!(resumed.status, GridStatus::Complete);
         prop_assert_eq!(resumed.pending, 0);

@@ -11,7 +11,9 @@
 //! cells are quarantined without disturbing their neighbours. They also
 //! pin the full paper grid and the hazard grid (faults, retries,
 //! disturbances and rescue at once) to fixed hashes, the oracle any
-//! change to the executor must keep.
+//! change to the executor must keep, and hold every other in-process
+//! grid driver — the journaled grid and the ephemeral and journaled
+//! daemon streams — to the in-memory grid.
 
 use mps_core::faults::{DisturbancePlan, FaultPlan, RecoveryPolicy};
 use mps_core::platform::HostId;
@@ -35,13 +37,7 @@ fn reference_cells(h: &Harness, take: usize, repeats: u64) -> Vec<CellResult> {
             }
         }
     }
-    cells.sort_by(|a, b| {
-        a.dag
-            .cmp(&b.dag)
-            .then_with(|| a.variant.name().cmp(b.variant.name()))
-            .then_with(|| a.algo.cmp(&b.algo))
-    });
-    cells
+    sorted(cells)
 }
 
 /// `Debug` output of f64 round-trips (shortest representation that parses
@@ -199,4 +195,110 @@ fn the_hazard_grid_hash_and_health_are_pinned() {
         (322, 372, 874, 551, 1176),
         "{health:?}"
     );
+}
+
+/// Canonical (dag, variant, algo) order, the order every grid API returns.
+fn sorted(mut cells: Vec<CellResult>) -> Vec<CellResult> {
+    cells.sort_by(|a, b| {
+        a.dag
+            .cmp(&b.dag)
+            .then_with(|| a.variant.name().cmp(b.variant.name()))
+            .then_with(|| a.algo.cmp(&b.algo))
+    });
+    cells
+}
+
+/// Streams one `SubsetGrid` request through a serve backend, returning
+/// the `(key, payload)` pairs in stream order and the request summary.
+fn serve_grid(
+    backend: &mps_exp::ServeBackend,
+    take: usize,
+    repeats: u64,
+) -> (Vec<(String, String)>, mps_core::serve::WorkSummary) {
+    use mps_core::serve::{Backend, WorkRequest};
+    let work = WorkRequest::SubsetGrid {
+        take,
+        repeats,
+        disturb: None,
+    };
+    let mut stream = Vec::new();
+    let summary = backend
+        .execute(
+            &work,
+            &mps_core::journal::RunControl::unlimited(),
+            &mut |k, p| {
+                stream.push((k.to_string(), p.to_string()));
+                true
+            },
+        )
+        .expect("subset grid request");
+    (stream, summary)
+}
+
+fn parse_stream(stream: &[(String, String)]) -> Vec<CellResult> {
+    sorted(
+        stream
+            .iter()
+            .map(|(_, p)| serde_json::from_str(p).expect("cell payload parses"))
+            .collect(),
+    )
+}
+
+#[test]
+fn every_in_process_driver_matches_the_in_memory_grid() {
+    const SUBSET: usize = 2;
+    const REPEATS: u64 = 1;
+    let dir = std::env::temp_dir().join(format!("mps-grid-drivers-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ctrl = mps_core::journal::RunControl::unlimited();
+
+    let h = Harness::new(7);
+    let want = render(&h.run_subset_with_workers(SUBSET, REPEATS, 1));
+    for workers in [1, 2] {
+        assert_eq!(
+            render(&h.run_subset_with_workers(SUBSET, REPEATS, workers)),
+            want,
+            "in-memory grid at workers={workers}"
+        );
+        let path = dir.join(format!("grid-w{workers}.jl"));
+        let journaled = h
+            .run_grid_journaled(Some(SUBSET), &path, REPEATS, workers, false, &ctrl)
+            .unwrap();
+        assert_eq!(
+            render(&journaled.cells),
+            want,
+            "journaled grid at workers={workers}"
+        );
+    }
+
+    // Ephemeral daemon: the streamed cells, parsed back, are the grid.
+    let ephemeral = mps_exp::ServeBackend::new(Harness::new(7));
+    let (stream, summary) = serve_grid(&ephemeral, SUBSET, REPEATS);
+    assert_eq!(
+        render(&parse_stream(&stream)),
+        want,
+        "ephemeral daemon grid"
+    );
+    assert_eq!((summary.computed, summary.resumed), (12, 0));
+    assert_eq!(summary.status, "complete");
+
+    // Journaled daemon: same cells, streamed as the journal's own bytes,
+    // and a resubmission replays the stream byte for byte.
+    let state = dir.join("state");
+    let durable = mps_exp::ServeBackend::new(Harness::new(7)).with_state_dir(state.clone());
+    let (first, summary) = serve_grid(&durable, SUBSET, REPEATS);
+    assert_eq!(render(&parse_stream(&first)), want, "journaled daemon grid");
+    assert_eq!((summary.computed, summary.resumed), (12, 0));
+    let journal = std::fs::read_dir(&state)
+        .unwrap()
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .find(|p| p.extension().is_some_and(|x| x == "jl"))
+        .expect("request journal");
+    let records = mps_core::journal::recover(&journal).unwrap().records;
+    assert_eq!(first, records, "streamed payloads are the journal's bytes");
+    let (again, summary) = serve_grid(&durable, SUBSET, REPEATS);
+    assert_eq!((summary.computed, summary.resumed), (0, 12));
+    assert_eq!(again, first, "resubmission replays byte for byte");
+    let _ = std::fs::remove_dir_all(&dir);
 }
