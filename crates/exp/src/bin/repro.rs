@@ -1,18 +1,8 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
-//! Usage:
-//!
-//! ```text
-//! repro [--seed S] [--repeats R] [--json DIR] \
-//!       [--faults PLAN] [--max-retries N] \
-//!       [--disturb PLAN] [--recovery failfast|retry|rescue] \
-//!       [--journal PATH] [--resume] [--max-wall-secs S] \
-//!       [--subset N] [--workers N] [--throttle-ms N] \
-//!       [--isolation inproc|process] [--cell-timeout-secs S] \
-//!       [--max-cell-attempts N] [--poison SPEC] <target>...
-//! targets: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 table2
-//!          gantt ablations faultsweep disturb grid all
-//! ```
+//! Usage: `repro [FLAGS] [TARGET]...`. `repro --help` prints the full
+//! flag and target reference; it is the only usage text, and a usage
+//! error prints a one-line reason that points to it.
 //!
 //! `--faults` takes a fault-plan description (see `mps_faults::FaultPlan::
 //! parse`): semicolon-separated clauses such as `seed=7; crash@0:0+30;
@@ -53,15 +43,22 @@
 //! cell keys) deliberately poisons matching cells — test instrumentation
 //! for the supervision machinery itself.
 //!
+//! The command line is read once into a [`Cli`] and checked once, before
+//! any work starts. Its harness-shaping part is a [`Scenario`]: the
+//! in-process harness, the `--cell-worker` argv of a process-isolated run
+//! and the daemon's harness are all built from it.
+//!
 //! Exit codes: 0 on success (including a clean wall-clock checkpoint),
 //! 2 on usage or runtime errors, 3 when the campaign completed but
 //! quarantined at least one poison cell, 130 when interrupted.
 
 use std::io::Write as _;
+use std::ops::RangeBounds;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::time::Duration;
 
-use mps_core::faults::{DisturbancePlan, FaultPlan, RecoveryPolicy};
+use mps_core::faults::{FaultPlan, RecoveryPolicy, DISTURB_HORIZON};
 use mps_core::journal::{install_signal_handlers, CancelToken, RunControl};
 use mps_core::sim::ExecPolicy;
 use mps_core::supervise::SupervisorConfig;
@@ -76,797 +73,546 @@ use mps_exp::{
 /// records are crash reports rather than measurements.
 const EXIT_QUARANTINED: i32 = 3;
 
-/// Event horizon (seconds) used when parsing `--faults` clauses with
-/// preset intensities; generous enough to cover every grid makespan.
-const FAULT_HORIZON: f64 = 120.0;
+/// Every target name `repro` accepts, space-separated.
+const TARGETS: &str = "table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 table2 gantt ablations \
+                       faultsweep disturb grid all serve client campaign chaos online";
+
+/// Where grid cells run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Isolation {
+    /// On this process's worker threads.
+    #[default]
+    InProc,
+    /// In supervised child worker processes (`--cell-worker`).
+    Process,
+}
+
+impl Isolation {
+    fn name(self) -> &'static str {
+        match self {
+            Isolation::InProc => "inproc",
+            Isolation::Process => "process",
+        }
+    }
+}
+
+/// The harness-shaping part of the command line: everything a cell
+/// worker needs to rebuild its parent's harness. Plans stay the user's
+/// strings, so a worker parses exactly what the user typed.
+#[derive(Debug, Clone, PartialEq)]
+struct Scenario {
+    seed: u64,
+    repeats: u64,
+    max_retries: u32,
+    faults: Option<String>,
+    disturb: Option<String>,
+    /// `--recovery`, when given; the crash reaction defaults to rescue.
+    recovery: Option<RecoveryPolicy>,
+    poison: Option<String>,
+}
+
+impl Default for Scenario {
+    fn default() -> Self {
+        Scenario {
+            seed: 2011,
+            repeats: 3,
+            max_retries: ExecPolicy::default().max_retries,
+            faults: None,
+            disturb: None,
+            recovery: None,
+            poison: None,
+        }
+    }
+}
+
+impl Scenario {
+    fn recovery(&self) -> RecoveryPolicy {
+        self.recovery.unwrap_or(RecoveryPolicy::Rescue)
+    }
+
+    /// Builds the harness. Every plan is parsed before the testbed is
+    /// profiled, so a bad one costs nothing; `log` prints the banners.
+    fn harness(&self, log: bool) -> Result<Harness, String> {
+        if log {
+            eprintln!(
+                "# building harness (seed {}): profiling the emulated testbed…",
+                self.seed
+            );
+        }
+        let faults = match &self.faults {
+            Some(desc) => {
+                let plan = FaultPlan::parse(desc, 32, DISTURB_HORIZON)
+                    .map_err(|e| format!("bad --faults plan: {e}"))?;
+                if log {
+                    eprintln!(
+                        "# injecting fault plan (seed {}, {} event(s), max {} retries/task)",
+                        plan.seed,
+                        plan.events.len(),
+                        self.max_retries
+                    );
+                }
+                Some(plan)
+            }
+            None => None,
+        };
+        let poison = match &self.poison {
+            Some(spec) => {
+                Some(parse_poison_spec(spec).map_err(|e| format!("bad --poison spec: {e}"))?)
+            }
+            None => None,
+        };
+        let disturb = match &self.disturb {
+            Some(desc) => {
+                let cfg = DisturbConfig::parse(desc, self.recovery())
+                    .map_err(|e| format!("bad --disturb plan: {e}"))?;
+                if log {
+                    eprintln!(
+                        "# injecting disturbance plan (seed {}, {} event(s), recovery {})",
+                        cfg.plan.seed,
+                        cfg.plan.events.len(),
+                        cfg.recovery
+                    );
+                }
+                Some(cfg)
+            }
+            None => None,
+        };
+        let mut harness = Harness::new(self.seed).with_exec_policy(ExecPolicy {
+            max_retries: self.max_retries,
+            ..ExecPolicy::default()
+        });
+        if let Some(plan) = faults {
+            harness = harness.with_fault_plan(plan);
+        }
+        if let Some(rules) = poison {
+            harness = harness.with_poison(rules);
+        }
+        if let Some(cfg) = disturb {
+            harness = harness.with_disturbance(cfg);
+        }
+        Ok(harness)
+    }
+
+    /// This binary re-executed as a supervised cell worker that rebuilds
+    /// this scenario; [`Cli::parse`] reads the argv back. `tag` is an
+    /// inert marker attributing the worker to its run in `ps` output.
+    fn worker_command(&self, tag: &str) -> WorkerCommand {
+        let program = std::env::current_exe()
+            .unwrap_or_else(|e| die(&format!("cannot locate own binary: {e}")));
+        let mut args = vec!["--cell-worker".to_string()];
+        let mut push = |flag: &str, value: String| args.extend([flag.to_string(), value]);
+        push("--seed", self.seed.to_string());
+        push("--repeats", self.repeats.to_string());
+        push("--max-retries", self.max_retries.to_string());
+        for (flag, value) in [("--faults", &self.faults), ("--poison", &self.poison)] {
+            if let Some(value) = value {
+                push(flag, value.clone());
+            }
+        }
+        // `--recovery` only shapes a worker's cells through a plan; alone
+        // it would fail the worker's own check.
+        if let Some(desc) = &self.disturb {
+            push("--disturb", desc.clone());
+            push("--recovery", self.recovery().to_string());
+        }
+        push("--worker-tag", tag.to_string());
+        WorkerCommand { program, args }
+    }
+}
+
+/// Every flag of the command line, parsed and checked once.
+#[derive(Debug, Default)]
+struct Cli {
+    scenario: Scenario,
+    /// Known target names, in order; `all` when none is given.
+    targets: Vec<String>,
+    help: bool,
+    /// Hidden: serve cells over stdin/stdout for a supervisor.
+    cell_worker: bool,
+    json_dir: Option<String>,
+    journal: Option<String>,
+    resume: bool,
+    max_wall_secs: Option<u64>,
+    subset: Option<usize>,
+    workers: Option<usize>,
+    throttle_ms: Option<u64>,
+    isolation: Isolation,
+    cell_timeout_secs: Option<u64>,
+    max_cell_attempts: Option<u32>,
+    stderr_tail_bytes: Option<usize>,
+    spawn_timeout_secs: Option<u64>,
+    socket: Option<String>,
+    state_dir: Option<String>,
+    queue_cap: Option<usize>,
+    serve_workers: Option<usize>,
+    stdio: bool,
+    schedule: Option<String>,
+    simulate: Option<String>,
+    subset_grid: Option<usize>,
+    online: Option<String>,
+    health: bool,
+    drain: bool,
+    deadline_ms: Option<u64>,
+    campaign_dir: Option<String>,
+    points: Option<usize>,
+    episodes: Option<usize>,
+    chaos_dir: Option<String>,
+    arrival_rates: Option<String>,
+    horizon_events: Option<u64>,
+    admission: Option<usize>,
+    max_width: Option<usize>,
+    batch: Option<usize>,
+    trace_out: Option<String>,
+}
+
+/// The value after `flag`, parsed and inside `range`; a missing,
+/// unparseable or out-of-range value is the error "`flag` needs `want`".
+fn value<T: FromStr + PartialOrd>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    want: &str,
+    range: impl RangeBounds<T>,
+) -> Result<T, String> {
+    args.next()
+        .and_then(|s| s.parse().ok())
+        .filter(|v| range.contains(v))
+        .ok_or_else(|| format!("{flag} needs {want}"))
+}
+
+impl Cli {
+    /// Parses and checks the arguments (without the program name). `--help`
+    /// ends parsing with only `help` set.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+        let mut cli = Cli::default();
+        let s = &mut cli.scenario;
+        let a = &mut args.into_iter();
+        while let Some(flag) = a.next() {
+            let f = flag.as_str();
+            match f {
+                "--seed" => s.seed = value(a, f, "an integer", ..)?,
+                "--repeats" => s.repeats = value(a, f, "an integer", ..)?,
+                "--max-retries" => s.max_retries = value(a, f, "an integer", ..)?,
+                "--faults" => s.faults = Some(value(a, f, "a plan description", ..)?),
+                "--disturb" => s.disturb = Some(value(a, f, "a plan description", ..)?),
+                "--recovery" => {
+                    let mode: String = value(a, f, "a mode (failfast|retry|rescue)", ..)?;
+                    s.recovery = Some(
+                        mode.parse()
+                            .map_err(|_| "--recovery needs failfast, retry, or rescue")?,
+                    );
+                }
+                "--poison" => s.poison = Some(value(a, f, "a spec (needle=panic|hang,...)", ..)?),
+                "--json" => cli.json_dir = Some(value(a, f, "a directory", ..)?),
+                "--journal" => cli.journal = Some(value(a, f, "a path", ..)?),
+                "--resume" => cli.resume = true,
+                "--max-wall-secs" => cli.max_wall_secs = Some(value(a, f, "an integer", ..)?),
+                "--subset" => cli.subset = Some(value(a, f, "an integer", ..)?),
+                "--workers" => cli.workers = Some(value(a, f, "an integer", ..)?),
+                "--throttle-ms" => cli.throttle_ms = Some(value(a, f, "an integer", ..)?),
+                "--isolation" => {
+                    let mode: String = value(a, f, "a mode (inproc|process)", ..)?;
+                    cli.isolation = match mode.as_str() {
+                        "inproc" => Isolation::InProc,
+                        "process" => Isolation::Process,
+                        _ => return Err(format!("--isolation {mode:?} is not inproc|process")),
+                    };
+                }
+                "--cell-timeout-secs" => {
+                    cli.cell_timeout_secs = Some(value(a, f, "an integer >= 1", 1..)?)
+                }
+                "--max-cell-attempts" => {
+                    cli.max_cell_attempts = Some(value(a, f, "an integer >= 1", 1..)?)
+                }
+                "--stderr-tail-bytes" => {
+                    let want = "an integer in 0..=1048576";
+                    cli.stderr_tail_bytes = Some(value(a, f, want, ..=1024 * 1024)?)
+                }
+                "--spawn-timeout-secs" => {
+                    cli.spawn_timeout_secs = Some(value(a, f, "an integer in 1..=600", 1..=600)?)
+                }
+                "--socket" => cli.socket = Some(value(a, f, "a path", ..)?),
+                "--state" => cli.state_dir = Some(value(a, f, "a directory", ..)?),
+                "--queue-cap" => {
+                    cli.queue_cap = Some(value(a, f, "an integer in 1..=4096", 1..=4096)?)
+                }
+                "--serve-workers" => {
+                    cli.serve_workers = Some(value(a, f, "an integer in 1..=64", 1..=64)?)
+                }
+                "--stdio" => cli.stdio = true,
+                "--schedule" => cli.schedule = Some(value(a, f, "DAG:VARIANT:ALGO", ..)?),
+                "--simulate" => cli.simulate = Some(value(a, f, "DAG:VARIANT:ALGO", ..)?),
+                "--subset-grid" => cli.subset_grid = Some(value(a, f, "an integer >= 1", 1..)?),
+                "--online" => cli.online = Some(value(a, f, "ALGO:ARRIVAL", ..)?),
+                "--health" => cli.health = true,
+                "--drain" => cli.drain = true,
+                "--deadline-ms" => cli.deadline_ms = Some(value(a, f, "an integer", ..)?),
+                "--campaign-dir" => cli.campaign_dir = Some(value(a, f, "a directory", ..)?),
+                "--points" => cli.points = Some(value(a, f, "an integer >= 1", 1..)?),
+                "--episodes" => cli.episodes = Some(value(a, f, "an integer >= 1", 1..)?),
+                "--chaos-dir" => cli.chaos_dir = Some(value(a, f, "a directory", ..)?),
+                "--arrival-rate" => {
+                    cli.arrival_rates = Some(value(a, f, "a comma-separated list", ..)?)
+                }
+                "--horizon-events" => {
+                    cli.horizon_events = Some(value(a, f, "an integer >= 1", 1..)?)
+                }
+                "--admission" => {
+                    let want = "an integer (0 sheds everything)";
+                    cli.admission = Some(value(a, f, want, ..)?)
+                }
+                "--max-width" => cli.max_width = Some(value(a, f, "an integer >= 1", 1..)?),
+                "--batch" => cli.batch = Some(value(a, f, "an integer >= 1", 1..)?),
+                "--trace-out" => cli.trace_out = Some(value(a, f, "a path", ..)?),
+                "--help" | "-h" => {
+                    return Ok(Cli {
+                        help: true,
+                        ..Cli::default()
+                    })
+                }
+                "--cell-worker" => cli.cell_worker = true,
+                // Hidden: inert marker so tests can find worker processes by
+                // scanning /proc/*/cmdline.
+                "--worker-tag" => {
+                    a.next();
+                }
+                t if TARGETS.split_whitespace().any(|k| k == t) => cli.targets.push(t.to_string()),
+                t if t.starts_with('-') => return Err(format!("unknown flag `{t}`")),
+                t => return Err(format!("unknown target `{t}`")),
+            }
+        }
+        if cli.targets.is_empty() {
+            cli.targets.push("all".to_string());
+        }
+        cli.check()?;
+        Ok(cli)
+    }
+
+    fn has(&self, target: &str) -> bool {
+        self.targets.iter().any(|t| t == target)
+    }
+
+    /// The flag-scope rules, one table evaluated in order: a row
+    /// `(given, allowed, subject, wording)` fails when `given && !allowed`
+    /// and reports "`subject` `wording`". A flag the chosen targets would
+    /// ignore is refused, with one exemption: the targets that run before
+    /// a block of rules (online before every later block, chaos and client
+    /// before the journal and supervision blocks) are not checked by it:
+    /// they accept that block's flags and ignore them.
+    fn check(&self) -> Result<(), String> {
+        let (online, chaos, campaign) =
+            (self.has("online"), self.has("chaos"), self.has("campaign"));
+        let (serve, client, sweep) = (self.has("serve"), self.has("client"), self.has("disturb"));
+        let alone = self.targets.len() == 1;
+        let process = self.isolation == Isolation::Process;
+        let s = &self.scenario;
+        let (faults, disturb, recovery) = (
+            s.faults.is_some(),
+            s.disturb.is_some(),
+            s.recovery.is_some(),
+        );
+        let (journal, resume, json) =
+            (self.journal.is_some(), self.resume, self.json_dir.is_some());
+        let (wall, throttle) = (self.max_wall_secs.is_some(), self.throttle_ms.is_some());
+        let stream = online || (client && self.online.is_some());
+        let daemon = serve || client || online;
+        let journaled =
+            journal || self.cell_worker || serve || campaign || online || chaos || client;
+        let supervised = process || self.cell_worker || online || chaos || client;
+
+        let combined = "cannot be combined with other targets";
+        let no_online = "cannot be used with the online target";
+        let no_chaos = "cannot be used with the chaos target";
+        let no_campaign = "cannot be used with the campaign target";
+        let needs_online = "requires the online target";
+        let needs_stream = "requires the online target or a client --online request";
+        let needs_chaos = "requires the chaos target";
+        let needs_campaign = "requires the campaign target";
+        let needs_daemon = "requires the serve or client target";
+        let needs_journal = "requires --journal PATH";
+        let needs_process = "requires --isolation process";
+        let own_plans = "cannot be used with the disturb target (it sweeps its own seeded plans)";
+        let needs_state = "requires --state DIR (the supervisor owns journals)";
+        let implicit = "is implicit for serve (journals under --state resume themselves)";
+        #[rustfmt::skip]
+        let rules: &[(bool, bool, &str, &str)] = &[
+            (online, alone, "online", combined),
+            (faults, !online, "--faults", no_online),
+            (disturb, !online, "--disturb", no_online),
+            (recovery, !online, "--recovery", no_online),
+            (journal, !online, "--journal", no_online),
+            (resume, !online, "--resume", no_online),
+            (self.subset.is_some(), !online, "--subset", no_online),
+            (process, !online, "--isolation process", no_online),
+            (wall, !online, "--max-wall-secs", no_online),
+            (throttle, !online, "--throttle-ms", no_online),
+            (self.arrival_rates.is_some(), online, "--arrival-rate", needs_online),
+            (self.max_width.is_some(), online, "--max-width", needs_online),
+            (self.batch.is_some(), online, "--batch", needs_online),
+            (self.trace_out.is_some(), online, "--trace-out", needs_online),
+            (self.horizon_events.is_some(), stream, "--horizon-events", needs_stream),
+            (self.admission.is_some(), stream, "--admission", needs_stream),
+            (disturb, !sweep, "--disturb", own_plans),
+            (recovery, disturb || sweep, "--recovery", "requires --disturb or the disturb target"),
+            (serve, !client, "serve and client", "are mutually exclusive targets"),
+            (chaos, alone, "chaos", combined),
+            (faults, !chaos, "--faults", no_chaos),
+            (disturb, !chaos, "--disturb", no_chaos),
+            (recovery, !chaos, "--recovery", no_chaos),
+            (journal, !chaos, "--journal", no_chaos),
+            (resume, !chaos, "--resume", no_chaos),
+            (json, !chaos, "--json", no_chaos),
+            (self.subset.is_some(), !chaos, "--subset", no_chaos),
+            (self.workers.is_some(), !chaos, "--workers", no_chaos),
+            (process, !chaos, "--isolation process", no_chaos),
+            (wall, !chaos, "--max-wall-secs", no_chaos),
+            (throttle, !chaos, "--throttle-ms", no_chaos),
+            (self.episodes.is_some(), chaos || online, "--episodes", needs_chaos),
+            (self.chaos_dir.is_some(), chaos || online, "--chaos-dir", needs_chaos),
+            (campaign, alone, "campaign", combined),
+            (campaign, self.campaign_dir.is_some(), "campaign", "needs --campaign-dir DIR"),
+            (faults, !campaign, "--faults", no_campaign),
+            (journal, !campaign, "--journal", no_campaign),
+            (resume, !campaign, "--resume", no_campaign),
+            (json, !campaign, "--json", no_campaign),
+            (process, !campaign, "--isolation process", no_campaign),
+            (self.campaign_dir.is_some(), campaign || online, "--campaign-dir", needs_campaign),
+            (self.points.is_some(), campaign || online, "--points", needs_campaign),
+            (serve || client, alone, "serve/client", combined),
+            (serve, self.socket.is_some() || self.stdio, "serve", "needs --socket PATH (or --stdio)"),
+            (serve && process, self.state_dir.is_some(), "serve --isolation process", needs_state),
+            (resume, !serve, "--resume", implicit),
+            (client, self.socket.is_some(), "client", "needs --socket PATH"),
+            (self.socket.is_some(), daemon, "--socket", needs_daemon),
+            (self.state_dir.is_some(), daemon, "--state", needs_daemon),
+            (self.queue_cap.is_some(), daemon, "--queue-cap", needs_daemon),
+            (self.serve_workers.is_some(), daemon, "--serve-workers", needs_daemon),
+            (self.stdio, daemon, "--stdio", needs_daemon),
+            (self.schedule.is_some(), daemon, "--schedule", needs_daemon),
+            (self.simulate.is_some(), daemon, "--simulate", needs_daemon),
+            (self.subset_grid.is_some(), daemon, "--subset-grid", needs_daemon),
+            (self.online.is_some(), daemon, "--online", needs_daemon),
+            (self.health, daemon, "--health", needs_daemon),
+            (self.drain, daemon, "--drain", needs_daemon),
+            (self.deadline_ms.is_some(), daemon, "--deadline-ms", needs_daemon),
+            (resume, journaled, "--resume", needs_journal),
+            (wall, journaled, "--max-wall-secs", needs_journal),
+            (throttle, journaled, "--throttle-ms", needs_journal),
+            (process, journaled, "--isolation process", needs_journal),
+            (self.cell_timeout_secs.is_some(), supervised, "--cell-timeout-secs", needs_process),
+            (self.max_cell_attempts.is_some(), supervised, "--max-cell-attempts", needs_process),
+            (self.stderr_tail_bytes.is_some(), supervised, "--stderr-tail-bytes", needs_process),
+            (self.spawn_timeout_secs.is_some(), supervised, "--spawn-timeout-secs", needs_process),
+        ];
+        match rules.iter().find(|(given, allowed, ..)| *given && !allowed) {
+            Some((_, _, subject, wording)) => Err(format!("{subject} {wording}")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// A journaled run's stop conditions: SIGINT/SIGTERM become a graceful
+/// drain, `--max-wall-secs` a clean checkpoint, `--throttle-ms` a pause
+/// after every cell.
+fn run_control(cli: &Cli) -> RunControl {
+    install_signal_handlers();
+    let mut ctrl = RunControl::unlimited().with_cancel(CancelToken::following_signals());
+    if let Some(secs) = cli.max_wall_secs {
+        ctrl = ctrl.with_deadline_in(Duration::from_secs(secs));
+    }
+    if let Some(ms) = cli.throttle_ms {
+        ctrl = ctrl.with_throttle(Duration::from_millis(ms));
+    }
+    ctrl
+}
+
+/// The supervision knobs of a process-isolated run; `--workers`
+/// overrides `default_workers`.
+fn supervise_opts(cli: &Cli, default_workers: usize) -> SuperviseOpts {
+    let d = SuperviseOpts::default();
+    SuperviseOpts {
+        repeats: cli.scenario.repeats,
+        workers: cli.workers.unwrap_or(default_workers),
+        resume: cli.resume,
+        cell_timeout: cli
+            .cell_timeout_secs
+            .map_or(d.cell_timeout, Duration::from_secs),
+        spawn_timeout: cli
+            .spawn_timeout_secs
+            .map_or(d.spawn_timeout, Duration::from_secs),
+        stderr_tail_bytes: cli.stderr_tail_bytes.unwrap_or(d.stderr_tail_bytes),
+        config: SupervisorConfig {
+            max_cell_attempts: cli.max_cell_attempts.unwrap_or(d.config.max_cell_attempts),
+            ..d.config
+        },
+    }
+}
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 2011u64;
-    let mut repeats = 3u64;
-    let mut json_dir: Option<String> = None;
-    let mut faults: Option<String> = None;
-    let mut disturb: Option<String> = None;
-    let mut recovery: Option<String> = None;
-    let mut max_retries = ExecPolicy::default().max_retries;
-    let mut journal_path: Option<String> = None;
-    let mut resume = false;
-    let mut max_wall_secs: Option<u64> = None;
-    let mut subset: Option<usize> = None;
-    let mut workers: Option<usize> = None;
-    let mut throttle_ms: Option<u64> = None;
-    let mut isolation = String::from("inproc");
-    let mut cell_timeout_secs: Option<u64> = None;
-    let mut max_cell_attempts: Option<u32> = None;
-    let mut poison_spec: Option<String> = None;
-    let mut cell_worker = false;
-    let mut stderr_tail_bytes: Option<usize> = None;
-    let mut spawn_timeout_secs: Option<u64> = None;
-    let mut socket: Option<String> = None;
-    let mut state_dir: Option<String> = None;
-    let mut queue_cap: Option<usize> = None;
-    let mut serve_workers: Option<usize> = None;
-    let mut stdio = false;
-    let mut cli_schedule: Option<String> = None;
-    let mut cli_simulate: Option<String> = None;
-    let mut cli_subset_grid: Option<usize> = None;
-    let mut cli_online: Option<String> = None;
-    let mut cli_health = false;
-    let mut cli_drain = false;
-    let mut deadline_ms: Option<u64> = None;
-    let mut campaign_dir: Option<String> = None;
-    let mut points: Option<usize> = None;
-    let mut episodes: Option<usize> = None;
-    let mut chaos_dir: Option<String> = None;
-    let mut arrival_rates: Option<String> = None;
-    let mut horizon_events: Option<u64> = None;
-    let mut admission: Option<usize> = None;
-    let mut max_width: Option<usize> = None;
-    let mut batch: Option<usize> = None;
-    let mut trace_out: Option<String> = None;
-
-    let mut targets = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--repeats" => {
-                i += 1;
-                repeats = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--repeats needs an integer"));
-            }
-            "--json" => {
-                i += 1;
-                json_dir = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--json needs a directory")),
-                );
-            }
-            "--faults" => {
-                i += 1;
-                faults = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--faults needs a plan description")),
-                );
-            }
-            "--disturb" => {
-                i += 1;
-                disturb = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--disturb needs a plan description")),
-                );
-            }
-            "--recovery" => {
-                i += 1;
-                recovery = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--recovery needs a mode (failfast|retry|rescue)")),
-                );
-            }
-            "--max-retries" => {
-                i += 1;
-                max_retries = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--max-retries needs an integer"));
-            }
-            "--journal" => {
-                i += 1;
-                journal_path = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--journal needs a path")),
-                );
-            }
-            "--resume" => resume = true,
-            "--max-wall-secs" => {
-                i += 1;
-                max_wall_secs = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--max-wall-secs needs an integer")),
-                );
-            }
-            "--subset" => {
-                i += 1;
-                subset = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--subset needs an integer")),
-                );
-            }
-            "--workers" => {
-                i += 1;
-                workers = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--workers needs an integer")),
-                );
-            }
-            "--throttle-ms" => {
-                i += 1;
-                throttle_ms = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--throttle-ms needs an integer")),
-                );
-            }
-            "--isolation" => {
-                i += 1;
-                isolation = args
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| die("--isolation needs a mode (inproc|process)"));
-                if isolation != "inproc" && isolation != "process" {
-                    die(&format!("--isolation {isolation:?} is not inproc|process"));
-                }
-            }
-            "--cell-timeout-secs" => {
-                i += 1;
-                cell_timeout_secs = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--cell-timeout-secs needs an integer >= 1")),
-                );
-            }
-            "--max-cell-attempts" => {
-                i += 1;
-                max_cell_attempts = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<u32>().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--max-cell-attempts needs an integer >= 1")),
-                );
-            }
-            "--poison" => {
-                i += 1;
-                poison_spec = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--poison needs a spec (needle=panic|hang,...)")),
-                );
-            }
-            "--stderr-tail-bytes" => {
-                i += 1;
-                stderr_tail_bytes = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| n <= 1024 * 1024)
-                        .unwrap_or_else(|| {
-                            die("--stderr-tail-bytes needs an integer in 0..=1048576")
-                        }),
-                );
-            }
-            "--spawn-timeout-secs" => {
-                i += 1;
-                spawn_timeout_secs = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .filter(|&n| (1..=600).contains(&n))
-                        .unwrap_or_else(|| die("--spawn-timeout-secs needs an integer in 1..=600")),
-                );
-            }
-            "--socket" => {
-                i += 1;
-                socket = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--socket needs a path")),
-                );
-            }
-            "--state" => {
-                i += 1;
-                state_dir = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--state needs a directory")),
-                );
-            }
-            "--queue-cap" => {
-                i += 1;
-                queue_cap = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| (1..=4096).contains(&n))
-                        .unwrap_or_else(|| die("--queue-cap needs an integer in 1..=4096")),
-                );
-            }
-            "--serve-workers" => {
-                i += 1;
-                serve_workers = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| (1..=64).contains(&n))
-                        .unwrap_or_else(|| die("--serve-workers needs an integer in 1..=64")),
-                );
-            }
-            "--stdio" => stdio = true,
-            "--schedule" => {
-                i += 1;
-                cli_schedule = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--schedule needs DAG:VARIANT:ALGO")),
-                );
-            }
-            "--simulate" => {
-                i += 1;
-                cli_simulate = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--simulate needs DAG:VARIANT:ALGO")),
-                );
-            }
-            "--subset-grid" => {
-                i += 1;
-                cli_subset_grid = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--subset-grid needs an integer >= 1")),
-                );
-            }
-            "--online" => {
-                i += 1;
-                cli_online = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--online needs ALGO:ARRIVAL")),
-                );
-            }
-            "--health" => cli_health = true,
-            "--drain" => cli_drain = true,
-            "--deadline-ms" => {
-                i += 1;
-                deadline_ms = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .unwrap_or_else(|| die("--deadline-ms needs an integer")),
-                );
-            }
-            "--campaign-dir" => {
-                i += 1;
-                campaign_dir = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--campaign-dir needs a directory")),
-                );
-            }
-            "--points" => {
-                i += 1;
-                points = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--points needs an integer >= 1")),
-                );
-            }
-            "--episodes" => {
-                i += 1;
-                episodes = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--episodes needs an integer >= 1")),
-                );
-            }
-            "--chaos-dir" => {
-                i += 1;
-                chaos_dir = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--chaos-dir needs a directory")),
-                );
-            }
-            "--arrival-rate" => {
-                i += 1;
-                arrival_rates = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--arrival-rate needs a comma-separated list")),
-                );
-            }
-            "--horizon-events" => {
-                i += 1;
-                horizon_events = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--horizon-events needs an integer >= 1")),
-                );
-            }
-            "--admission" => {
-                i += 1;
-                admission = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .unwrap_or_else(|| {
-                            die("--admission needs an integer (0 sheds everything)")
-                        }),
-                );
-            }
-            "--max-width" => {
-                i += 1;
-                max_width = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--max-width needs an integer >= 1")),
-                );
-            }
-            "--batch" => {
-                i += 1;
-                batch = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--batch needs an integer >= 1")),
-                );
-            }
-            "--trace-out" => {
-                i += 1;
-                trace_out = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--trace-out needs a path")),
-                );
-            }
-            "--help" | "-h" => {
-                print!("{}", help_text());
-                std::process::exit(0);
-            }
-            // Hidden: run as a supervised cell worker over stdin/stdout.
-            "--cell-worker" => cell_worker = true,
-            // Hidden: inert marker so tests can find worker processes by
-            // scanning /proc/*/cmdline.
-            "--worker-tag" => i += 1,
-            t => targets.push(t.to_string()),
-        }
-        i += 1;
+    let cli = Cli::parse(std::env::args().skip(1)).unwrap_or_else(|e| die(&e));
+    if cli.help {
+        print!("{}", help_text());
+        std::process::exit(0);
     }
-    if targets.is_empty() {
-        targets.push("all".to_string());
+    if cli.has("online") {
+        std::process::exit(run_online(&cli));
     }
-    args.clear();
-    let serving = targets.iter().any(|t| t == "serve");
-    let clienting = targets.iter().any(|t| t == "client");
-    let campaigning = targets.iter().any(|t| t == "campaign");
-    let chaosing = targets.iter().any(|t| t == "chaos");
-    let disturbing = targets.iter().any(|t| t == "disturb");
-    let onlining = targets.iter().any(|t| t == "online");
-    if onlining {
-        if targets.len() > 1 {
-            die("online cannot be combined with other targets");
-        }
-        // The streaming sweep builds no testbed harness; grid knobs
-        // would be inert lies.
-        for (set, flag) in [
-            (faults.is_some(), "--faults"),
-            (disturb.is_some(), "--disturb"),
-            (recovery.is_some(), "--recovery"),
-            (journal_path.is_some(), "--journal"),
-            (resume, "--resume"),
-            (subset.is_some(), "--subset"),
-            (isolation == "process", "--isolation process"),
-            (max_wall_secs.is_some(), "--max-wall-secs"),
-            (throttle_ms.is_some(), "--throttle-ms"),
-        ] {
-            if set {
-                die(&format!("{flag} cannot be used with the online target"));
-            }
-        }
-    } else {
-        for (set, flag) in [
-            (arrival_rates.is_some(), "--arrival-rate"),
-            (max_width.is_some(), "--max-width"),
-            (batch.is_some(), "--batch"),
-            (trace_out.is_some(), "--trace-out"),
-        ] {
-            if set {
-                die(&format!("{flag} requires the online target"));
-            }
-        }
-        // These two also parameterize a client `--online` request.
-        if !(clienting && cli_online.is_some()) {
-            for (set, flag) in [
-                (horizon_events.is_some(), "--horizon-events"),
-                (admission.is_some(), "--admission"),
-            ] {
-                if set {
-                    die(&format!(
-                        "{flag} requires the online target or a client --online request"
-                    ));
-                }
-            }
-        }
+    if cli.has("chaos") {
+        std::process::exit(run_chaos(&cli));
     }
-    if onlining {
-        let defaults = mps_exp::OnlineOpts::default();
-        let opts = mps_exp::OnlineOpts {
-            arrivals: match &arrival_rates {
-                Some(list) => list.split(',').map(|s| s.trim().to_string()).collect(),
-                None => defaults.arrivals,
-            },
-            horizon_events: horizon_events.unwrap_or(defaults.horizon_events),
-            seed,
-            admission_cap: admission.unwrap_or(defaults.admission_cap),
-            max_width: max_width.unwrap_or(defaults.max_width),
-            batch: batch.unwrap_or(defaults.batch),
-            workers: workers.unwrap_or_else(Harness::default_workers),
-        };
-        std::process::exit(run_online(&opts, trace_out.as_deref(), json_dir.as_deref()));
+    if cli.has("client") {
+        std::process::exit(run_client(&cli));
     }
-    if disturbing && disturb.is_some() {
-        die("--disturb cannot be used with the disturb target (it sweeps its own seeded plans)");
-    }
-    if recovery.is_some() && disturb.is_none() && !disturbing {
-        die("--recovery requires --disturb or the disturb target");
-    }
-    let recovery_policy: RecoveryPolicy = match &recovery {
-        Some(s) => s
-            .parse()
-            .unwrap_or_else(|_| die("--recovery needs failfast, retry, or rescue")),
-        None => RecoveryPolicy::Rescue,
-    };
-    if serving && clienting {
-        die("serve and client are mutually exclusive targets");
-    }
-    if chaosing {
-        if targets.len() > 1 {
-            die("chaos cannot be combined with other targets");
-        }
-        // Chaos episodes build their own harnesses, fault plans, and
-        // scratch journals; the grid/campaign knobs would be inert lies.
-        for (set, flag) in [
-            (faults.is_some(), "--faults"),
-            (disturb.is_some(), "--disturb"),
-            (recovery.is_some(), "--recovery"),
-            (journal_path.is_some(), "--journal"),
-            (resume, "--resume"),
-            (json_dir.is_some(), "--json"),
-            (subset.is_some(), "--subset"),
-            (workers.is_some(), "--workers"),
-            (isolation == "process", "--isolation process"),
-            (max_wall_secs.is_some(), "--max-wall-secs"),
-            (throttle_ms.is_some(), "--throttle-ms"),
-        ] {
-            if set {
-                die(&format!("{flag} cannot be used with the chaos target"));
-            }
-        }
-    } else {
-        for (set, flag) in [
-            (episodes.is_some(), "--episodes"),
-            (chaos_dir.is_some(), "--chaos-dir"),
-        ] {
-            if set {
-                die(&format!("{flag} requires the chaos target"));
-            }
-        }
-    }
-    if campaigning {
-        if targets.len() > 1 {
-            die("campaign cannot be combined with other targets");
-        }
-        if campaign_dir.is_none() {
-            die("campaign needs --campaign-dir DIR");
-        }
-        // Campaign points build their own fault-sweep plans, own one
-        // journal each, and resume by re-invocation.
-        for (set, flag) in [
-            (faults.is_some(), "--faults"),
-            (journal_path.is_some(), "--journal"),
-            (resume, "--resume"),
-            (json_dir.is_some(), "--json"),
-            (isolation == "process", "--isolation process"),
-        ] {
-            if set {
-                die(&format!("{flag} cannot be used with the campaign target"));
-            }
-        }
-    } else {
-        for (set, flag) in [
-            (campaign_dir.is_some(), "--campaign-dir"),
-            (points.is_some(), "--points"),
-        ] {
-            if set {
-                die(&format!("{flag} requires the campaign target"));
-            }
-        }
-    }
-    if (serving || clienting) && targets.len() > 1 {
-        die("serve/client cannot be combined with other targets");
-    }
-    if serving {
-        if socket.is_none() && !stdio {
-            die("serve needs --socket PATH (or --stdio)");
-        }
-        if isolation == "process" && state_dir.is_none() {
-            die("serve --isolation process requires --state DIR (the supervisor owns journals)");
-        }
-        if resume {
-            die("--resume is implicit for serve (journals under --state resume themselves)");
-        }
-    }
-    if clienting && socket.is_none() {
-        die("client needs --socket PATH");
-    }
-    if !serving && !clienting {
-        for (set, flag) in [
-            (socket.is_some(), "--socket"),
-            (state_dir.is_some(), "--state"),
-            (queue_cap.is_some(), "--queue-cap"),
-            (serve_workers.is_some(), "--serve-workers"),
-            (stdio, "--stdio"),
-            (cli_schedule.is_some(), "--schedule"),
-            (cli_simulate.is_some(), "--simulate"),
-            (cli_subset_grid.is_some(), "--subset-grid"),
-            (cli_online.is_some(), "--online"),
-            (cli_health, "--health"),
-            (cli_drain, "--drain"),
-            (deadline_ms.is_some(), "--deadline-ms"),
-        ] {
-            if set {
-                die(&format!("{flag} requires the serve or client target"));
-            }
-        }
-    }
-    if chaosing {
-        let dir = chaos_dir.map(PathBuf::from).unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("mps-chaos-{}", std::process::id()))
-        });
-        let opts = mps_exp::ChaosOpts {
-            episodes: episodes.unwrap_or(50),
-            seed,
-            dir,
-        };
-        std::process::exit(run_chaos(&opts));
-    }
-    if clienting {
-        std::process::exit(run_client(
-            socket.as_deref().unwrap(),
-            repeats,
-            deadline_ms,
-            cli_health,
-            cli_schedule.as_deref(),
-            cli_simulate.as_deref(),
-            cli_subset_grid,
-            cli_online.as_deref(),
-            horizon_events,
-            admission,
-            seed,
-            disturb.clone(),
-            cli_drain,
-        ));
-    }
-    if journal_path.is_none() && !cell_worker && !serving && !campaigning {
-        // These flags only make sense for a journaled campaign; silently
-        // ignoring them would mislead (e.g. `--resume` quietly recomputing
-        // a full grid from scratch).
-        for (set, flag) in [
-            (resume, "--resume"),
-            (max_wall_secs.is_some(), "--max-wall-secs"),
-            (throttle_ms.is_some(), "--throttle-ms"),
-            (isolation == "process", "--isolation process"),
-        ] {
-            if set {
-                die(&format!("{flag} requires --journal PATH"));
-            }
-        }
-    }
-    if isolation != "process" && !cell_worker {
-        // Supervision knobs without supervision would be silently inert.
-        for (set, flag) in [
-            (cell_timeout_secs.is_some(), "--cell-timeout-secs"),
-            (max_cell_attempts.is_some(), "--max-cell-attempts"),
-            (stderr_tail_bytes.is_some(), "--stderr-tail-bytes"),
-            (spawn_timeout_secs.is_some(), "--spawn-timeout-secs"),
-        ] {
-            if set {
-                die(&format!("{flag} requires --isolation process"));
-            }
-        }
-    }
-
-    let needs_grid = targets.iter().any(|t| {
-        matches!(
-            t.as_str(),
-            "all" | "fig1" | "fig5" | "fig7" | "fig8" | "grid"
-        )
-    });
-
-    if !cell_worker {
-        eprintln!("# building harness (seed {seed}): profiling the emulated testbed…");
-    }
-    let mut harness = Harness::new(seed);
-    if let Some(desc) = &faults {
-        let plan = FaultPlan::parse(desc, 32, FAULT_HORIZON)
-            .unwrap_or_else(|e| die(&format!("bad --faults plan: {e}")));
-        if !cell_worker {
-            eprintln!(
-                "# injecting fault plan (seed {}, {} event(s), max {} retries/task)",
-                plan.seed,
-                plan.events.len(),
-                max_retries
-            );
-        }
-        harness = harness.with_fault_plan(plan);
-    }
-    harness = harness.with_exec_policy(ExecPolicy {
-        max_retries,
-        ..ExecPolicy::default()
-    });
-    if let Some(spec) = &poison_spec {
-        let rules =
-            parse_poison_spec(spec).unwrap_or_else(|e| die(&format!("bad --poison spec: {e}")));
-        harness = harness.with_poison(rules);
-    }
-    if let Some(desc) = &disturb {
-        let plan = DisturbancePlan::parse(desc, 32, FAULT_HORIZON)
-            .unwrap_or_else(|e| die(&format!("bad --disturb plan: {e}")));
-        if !cell_worker {
-            eprintln!(
-                "# injecting disturbance plan (seed {}, {} event(s), recovery {})",
-                plan.seed,
-                plan.events.len(),
-                recovery_policy
-            );
-        }
-        harness = harness.with_disturbance(DisturbConfig::new(plan, recovery_policy));
-    }
-
-    if cell_worker {
+    let (seed, repeats) = (cli.scenario.seed, cli.scenario.repeats);
+    let mut harness = cli
+        .scenario
+        .harness(!cli.cell_worker)
+        .unwrap_or_else(|e| die(&e));
+    if cli.cell_worker {
         // Supervised worker mode: serve cells over stdin/stdout until the
         // supervisor closes the pipe. No catch_unwind — a poisoned cell
         // kills this process and that death is the crash report.
         std::process::exit(serve_cells(&harness, repeats));
     }
-    if serving {
-        let opts = ServeCliOpts {
-            socket,
-            state_dir,
-            queue_cap,
-            serve_workers,
-            stdio,
-            max_wall_secs,
-            throttle_ms,
-            isolation: isolation.clone(),
-            seed,
-            repeats,
-            max_retries,
-            faults: faults.clone(),
-            poison_spec: poison_spec.clone(),
-            disturb: disturb.clone(),
-            recovery: recovery_policy,
-            workers,
-            cell_timeout_secs,
-            max_cell_attempts,
-            spawn_timeout_secs,
-            stderr_tail_bytes,
-        };
-        std::process::exit(run_serve(harness, opts));
+    if cli.has("serve") {
+        std::process::exit(run_serve(&cli, harness));
     }
-    if campaigning {
-        let opts = mps_exp::CampaignOpts {
-            dir: PathBuf::from(campaign_dir.unwrap()),
-            points: points.unwrap_or(mps_exp::campaign::DEFAULT_POINTS),
-            repeats,
-            workers: workers.unwrap_or_else(Harness::default_workers),
-            subset,
-        };
-        std::process::exit(run_campaign(&mut harness, opts, max_wall_secs, throttle_ms));
+    if cli.has("campaign") {
+        std::process::exit(run_campaign(&cli, &mut harness));
     }
+    let needs_grid = ["all", "fig1", "fig5", "fig7", "fig8", "grid"]
+        .iter()
+        .any(|t| cli.has(t));
     let mut grid_status = GridStatus::Complete;
     let cells = if needs_grid {
-        let scope = match subset {
+        let scope = match cli.subset {
             Some(take) => format!("{take}-DAG subset"),
             None => "54-DAG".to_string(),
         };
         eprintln!("# running the {scope} × 3-simulator × 2-algorithm grid ({repeats} testbed runs per cell)…");
-        let cells = match &journal_path {
+        let cells = match &cli.journal {
             Some(jpath) => {
-                // Journaled campaign: SIGINT/SIGTERM become a graceful
-                // drain, a wall-clock budget becomes a clean checkpoint.
-                install_signal_handlers();
-                let mut ctrl =
-                    RunControl::unlimited().with_cancel(CancelToken::following_signals());
-                if let Some(secs) = max_wall_secs {
-                    ctrl = ctrl.with_deadline_in(Duration::from_secs(secs));
-                }
-                if let Some(ms) = throttle_ms {
-                    ctrl = ctrl.with_throttle(Duration::from_millis(ms));
-                }
-                let workers = workers.unwrap_or_else(Harness::default_workers);
+                let ctrl = run_control(&cli);
                 let path = Path::new(jpath);
-                let report: JournaledGrid = if isolation == "process" {
+                let report: JournaledGrid = match cli.isolation {
                     // Process-isolated campaign: cells run in supervised
-                    // child workers (this binary, re-executed in hidden
-                    // `--cell-worker` mode); poison cells are quarantined.
-                    let program: PathBuf = std::env::current_exe()
-                        .unwrap_or_else(|e| die(&format!("cannot locate own binary: {e}")));
-                    let mut wargs = vec![
-                        "--cell-worker".to_string(),
-                        "--seed".to_string(),
-                        seed.to_string(),
-                        "--repeats".to_string(),
-                        repeats.to_string(),
-                        "--max-retries".to_string(),
-                        max_retries.to_string(),
-                    ];
-                    if let Some(desc) = &faults {
-                        wargs.push("--faults".to_string());
-                        wargs.push(desc.clone());
+                    // child workers; poison cells are quarantined.
+                    Isolation::Process => harness
+                        .run_grid_supervised(
+                            cli.subset,
+                            path,
+                            &cli.scenario.worker_command(jpath),
+                            &supervise_opts(&cli, Harness::default_workers()),
+                            &ctrl,
+                        )
+                        .unwrap_or_else(|e| die(&format!("supervised campaign: {e}"))),
+                    Isolation::InProc => {
+                        let workers = cli.workers.unwrap_or_else(Harness::default_workers);
+                        harness
+                            .run_grid_journaled(
+                                cli.subset, path, repeats, workers, cli.resume, &ctrl,
+                            )
+                            .unwrap_or_else(|e| die(&format!("journal: {e}")))
                     }
-                    if let Some(spec) = &poison_spec {
-                        wargs.push("--poison".to_string());
-                        wargs.push(spec.clone());
-                    }
-                    if let Some(desc) = &disturb {
-                        wargs.push("--disturb".to_string());
-                        wargs.push(desc.clone());
-                        wargs.push("--recovery".to_string());
-                        wargs.push(recovery_policy.to_string());
-                    }
-                    // Inert marker so tests (and humans) can attribute
-                    // workers to their campaign in `ps`/procfs output.
-                    wargs.push("--worker-tag".to_string());
-                    wargs.push(jpath.clone());
-                    let worker_cmd = WorkerCommand {
-                        program,
-                        args: wargs,
-                    };
-                    let opts = SuperviseOpts {
-                        repeats,
-                        workers,
-                        resume,
-                        cell_timeout: Duration::from_secs(cell_timeout_secs.unwrap_or(120)),
-                        spawn_timeout: Duration::from_secs(spawn_timeout_secs.unwrap_or(30)),
-                        stderr_tail_bytes: stderr_tail_bytes.unwrap_or(8 * 1024),
-                        config: SupervisorConfig {
-                            max_cell_attempts: max_cell_attempts.unwrap_or(2),
-                            ..SupervisorConfig::default()
-                        },
-                    };
-                    harness
-                        .run_grid_supervised(subset, path, &worker_cmd, &opts, &ctrl)
-                        .unwrap_or_else(|e| die(&format!("supervised campaign: {e}")))
-                } else {
-                    harness
-                        .run_grid_journaled(subset, path, repeats, workers, resume, &ctrl)
-                        .unwrap_or_else(|e| die(&format!("journal: {e}")))
                 };
                 if report.salvage_dropped_bytes > 0 {
                     eprintln!(
@@ -886,19 +632,20 @@ fn main() {
                 grid_status = report.status;
                 report.cells
             }
-            None => match subset {
+            None => match cli.subset {
                 Some(take) => harness.run_subset(take, repeats),
                 None => harness.run_grid(repeats),
             },
         };
         let health = grid_health(&cells);
-        if disturb.is_some() || health.disturbed > 0 {
+        if cli.scenario.disturb.is_some() || health.disturbed > 0 {
             eprintln!(
                 "# disturbances: {} disturbed cell(s), {} crash(es), {} rescue(s), {} task(s) rescued",
                 health.disturbed, health.crashes, health.rescues, health.rescued_tasks
             );
         }
-        if health.degraded + health.failed + health.quarantined > 0 || faults.is_some() {
+        if health.degraded + health.failed + health.quarantined > 0 || cli.scenario.faults.is_some()
+        {
             eprintln!(
                 "# grid health: {} full, {} degraded ({} retries, {} lost runs), {} failed, {} quarantined cells",
                 health.full,
@@ -933,7 +680,7 @@ fn main() {
         Vec::new()
     };
 
-    if let Some(dir) = &json_dir {
+    if let Some(dir) = &cli.json_dir {
         std::fs::create_dir_all(dir)
             .unwrap_or_else(|e| die(&format!("cannot create --json dir {dir}: {e}")));
         let path = format!("{dir}/grid.json");
@@ -973,7 +720,7 @@ fn main() {
         // *successful* checkpoint and exits 0.
         println!(
             "{}",
-            grid_report(&cells, grid_status, journal_path.as_deref())
+            grid_report(&cells, grid_status, cli.journal.as_deref())
         );
         let code = match grid_status {
             GridStatus::Interrupted => 130,
@@ -982,15 +729,10 @@ fn main() {
         std::process::exit(code);
     }
 
-    for t in &targets {
+    for t in &cli.targets {
         let report = match t.as_str() {
             "table1" => figures::table1(),
-            "fig1" => {
-                let mut s = figures::fig1(&cells);
-                s.push('\n');
-                s.push_str(&figures::fig1_n3000(&cells));
-                s
-            }
+            "fig1" => [figures::fig1(&cells), figures::fig1_n3000(&cells)].join("\n"),
             "fig2" => figures::fig2(&harness.testbed),
             "fig3" => figures::fig3(&harness.testbed),
             "fig4" => figures::fig4(&harness.testbed),
@@ -999,7 +741,7 @@ fn main() {
             "fig7" => figures::fig7(&cells),
             "fig8" => figures::fig8(&cells),
             "table2" => figures::table2(&harness),
-            "grid" => grid_report(&cells, grid_status, journal_path.as_deref()),
+            "grid" => grid_report(&cells, grid_status, cli.journal.as_deref()),
             "gantt" => gantt_report(&harness),
             "faultsweep" => figures::fault_sweep(
                 &mut harness,
@@ -1010,10 +752,10 @@ fn main() {
             ),
             "disturb" => {
                 let opts = mps_exp::DisturbSweepOpts {
-                    subset: subset.unwrap_or(6),
+                    subset: cli.subset.unwrap_or(6),
                     repeats,
-                    recovery: recovery_policy,
-                    workers: workers.unwrap_or_else(Harness::default_workers),
+                    recovery: cli.scenario.recovery(),
+                    workers: cli.workers.unwrap_or_else(Harness::default_workers),
                     ..mps_exp::DisturbSweepOpts::default()
                 };
                 eprintln!(
@@ -1025,7 +767,7 @@ fn main() {
                 let report = mps_exp::run_disturb_sweep(&mut harness, seed, &opts, |line| {
                     eprintln!("# {line}")
                 });
-                if let Some(dir) = &json_dir {
+                if let Some(dir) = &cli.json_dir {
                     let path = format!("{dir}/disturb.json");
                     let payload = serde_json::to_string_pretty(&report)
                         .unwrap_or_else(|e| die(&format!("cannot encode {path}: {e}")));
@@ -1035,47 +777,28 @@ fn main() {
                 }
                 report.render()
             }
-            "ablations" => {
-                let mut s = String::new();
-                s.push_str(&ablation::root_cause_ablation(seed, 12, repeats));
-                s.push('\n');
-                s.push_str(&ablation::machine_robustness(&[0, 1, 2, 3, 4], 10, repeats));
-                s.push('\n');
-                s.push_str(&ablation::wiggle_sensitivity(
-                    &[0.0, 0.06, 0.12, 0.24],
-                    10,
-                    repeats,
-                ));
-                s.push('\n');
-                s.push_str(&ablation::algorithm_quality(seed, 12));
-                s
-            }
-            "all" => {
-                let mut s = String::new();
-                s.push_str(&figures::table1());
-                s.push('\n');
-                s.push_str(&figures::fig1(&cells));
-                s.push('\n');
-                s.push_str(&figures::fig1_n3000(&cells));
-                s.push('\n');
-                s.push_str(&figures::fig2(&harness.testbed));
-                s.push('\n');
-                s.push_str(&figures::fig3(&harness.testbed));
-                s.push('\n');
-                s.push_str(&figures::fig4(&harness.testbed));
-                s.push('\n');
-                s.push_str(&figures::fig5(&cells));
-                s.push('\n');
-                s.push_str(&figures::fig6(&harness.testbed));
-                s.push('\n');
-                s.push_str(&figures::fig7(&cells));
-                s.push('\n');
-                s.push_str(&figures::fig8(&cells));
-                s.push('\n');
-                s.push_str(&figures::table2(&harness));
-                s
-            }
-            other => die(&format!("unknown target `{other}`")),
+            "ablations" => [
+                ablation::root_cause_ablation(seed, 12, repeats),
+                ablation::machine_robustness(&[0, 1, 2, 3, 4], 10, repeats),
+                ablation::wiggle_sensitivity(&[0.0, 0.06, 0.12, 0.24], 10, repeats),
+                ablation::algorithm_quality(seed, 12),
+            ]
+            .join("\n"),
+            "all" => [
+                figures::table1(),
+                figures::fig1(&cells),
+                figures::fig1_n3000(&cells),
+                figures::fig2(&harness.testbed),
+                figures::fig3(&harness.testbed),
+                figures::fig4(&harness.testbed),
+                figures::fig5(&cells),
+                figures::fig6(&harness.testbed),
+                figures::fig7(&cells),
+                figures::fig8(&cells),
+                figures::table2(&harness),
+            ]
+            .join("\n"),
+            other => unreachable!("target `{other}` exits before the report loop"),
         };
         println!("{report}");
         println!("{}", "=".repeat(78));
@@ -1199,29 +922,26 @@ fn gantt_report(harness: &Harness) -> String {
     }
     out
 }
-
-/// Everything `repro serve` needs from the flag soup.
-/// The `campaign` target: a fault-sweep campaign of `opts.points` grid
-/// points under `opts.dir`, one write-ahead journal per point. Resume is
-/// re-invocation with the same arguments — complete points load back
-/// without recomputing a cell. Exit codes mirror the journaled grid: 0
-/// for a complete campaign *or* a clean wall-clock checkpoint, 130 for
+/// The `campaign` target: a fault-sweep campaign of `--points` grid
+/// points under `--campaign-dir`, one write-ahead journal per point.
+/// Resume is re-invocation with the same arguments — complete points load
+/// back without recomputing a cell. Exit codes mirror the journaled grid:
+/// 0 for a complete campaign *or* a clean wall-clock checkpoint, 130 for
 /// an interrupt, [`EXIT_QUARANTINED`] when complete with crash-family
 /// cells in some journal.
-fn run_campaign(
-    harness: &mut Harness,
-    opts: mps_exp::CampaignOpts,
-    max_wall_secs: Option<u64>,
-    throttle_ms: Option<u64>,
-) -> i32 {
-    install_signal_handlers();
-    let mut ctrl = RunControl::unlimited().with_cancel(CancelToken::following_signals());
-    if let Some(secs) = max_wall_secs {
-        ctrl = ctrl.with_deadline_in(Duration::from_secs(secs));
-    }
-    if let Some(ms) = throttle_ms {
-        ctrl = ctrl.with_throttle(Duration::from_millis(ms));
-    }
+fn run_campaign(cli: &Cli, harness: &mut Harness) -> i32 {
+    let ctrl = run_control(cli);
+    let opts = mps_exp::CampaignOpts {
+        dir: PathBuf::from(
+            cli.campaign_dir
+                .as_deref()
+                .expect("checked: --campaign-dir"),
+        ),
+        points: cli.points.unwrap_or(mps_exp::campaign::DEFAULT_POINTS),
+        repeats: cli.scenario.repeats,
+        workers: cli.workers.unwrap_or_else(Harness::default_workers),
+        subset: cli.subset,
+    };
     let cells_per_point = opts.subset.unwrap_or(54) * 6;
     eprintln!(
         "# campaign {}: {} point(s) x {} cell(s), fault intensity 0..1",
@@ -1265,7 +985,18 @@ fn run_campaign(
     }
 }
 
-fn run_chaos(opts: &mps_exp::ChaosOpts) -> i32 {
+fn run_chaos(cli: &Cli) -> i32 {
+    let opts = mps_exp::ChaosOpts {
+        episodes: cli.episodes.unwrap_or(50),
+        seed: cli.scenario.seed,
+        dir: cli
+            .chaos_dir
+            .as_ref()
+            .map(PathBuf::from)
+            .unwrap_or_else(|| {
+                std::env::temp_dir().join(format!("mps-chaos-{}", std::process::id()))
+            }),
+    };
     eprintln!(
         "# chaos soak: {} episode(s), seed {}, scratch {}",
         opts.episodes,
@@ -1273,7 +1004,7 @@ fn run_chaos(opts: &mps_exp::ChaosOpts) -> i32 {
         opts.dir.display()
     );
     let t = std::time::Instant::now();
-    let report = mps_exp::chaos::run_chaos(opts, |line| eprintln!("# {line}"))
+    let report = mps_exp::chaos::run_chaos(&opts, |line| eprintln!("# {line}"))
         .unwrap_or_else(|e| die(&format!("chaos: {e}")));
     println!(
         "chaos soak (seed {}): {} episode(s), {} typed failure(s) in {:.1} s",
@@ -1326,7 +1057,20 @@ fn run_chaos(opts: &mps_exp::ChaosOpts) -> i32 {
 /// `--trace-out` writes the deterministic event/SLO trace (byte-identical
 /// across repeats, batch sizes, and worker counts); `--json` additionally
 /// dumps the full report as `online.json`.
-fn run_online(opts: &mps_exp::OnlineOpts, trace_out: Option<&str>, json_dir: Option<&str>) -> i32 {
+fn run_online(cli: &Cli) -> i32 {
+    let defaults = mps_exp::OnlineOpts::default();
+    let opts = mps_exp::OnlineOpts {
+        arrivals: match &cli.arrival_rates {
+            Some(list) => list.split(',').map(|s| s.trim().to_string()).collect(),
+            None => defaults.arrivals,
+        },
+        horizon_events: cli.horizon_events.unwrap_or(defaults.horizon_events),
+        seed: cli.scenario.seed,
+        admission_cap: cli.admission.unwrap_or(defaults.admission_cap),
+        max_width: cli.max_width.unwrap_or(defaults.max_width),
+        batch: cli.batch.unwrap_or(defaults.batch),
+        workers: cli.workers.unwrap_or_else(Harness::default_workers),
+    };
     eprintln!(
         "# streaming sweep: {} load level(s) x {{HCPA, MCPA}}, {} events/run, seed {}, {} worker(s)",
         opts.arrivals.len(),
@@ -1335,7 +1079,7 @@ fn run_online(opts: &mps_exp::OnlineOpts, trace_out: Option<&str>, json_dir: Opt
         opts.workers
     );
     let t = std::time::Instant::now();
-    let report = match mps_exp::run_online_sweep(opts, |line| eprintln!("# {line}")) {
+    let report = match mps_exp::run_online_sweep(&opts, |line| eprintln!("# {line}")) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("repro: online: {e}");
@@ -1343,14 +1087,14 @@ fn run_online(opts: &mps_exp::OnlineOpts, trace_out: Option<&str>, json_dir: Opt
         }
     };
     eprintln!("# sweep finished in {:.1} s", t.elapsed().as_secs_f64());
-    if let Some(path) = trace_out {
+    if let Some(path) = &cli.trace_out {
         if let Err(e) = std::fs::write(path, report.trace()) {
             eprintln!("repro: online: cannot write {path}: {e}");
             return 2;
         }
         eprintln!("# wrote {path}");
     }
-    if let Some(dir) = json_dir {
+    if let Some(dir) = &cli.json_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("repro: online: cannot create --json dir {dir}: {e}");
             return 2;
@@ -1373,116 +1117,36 @@ fn run_online(opts: &mps_exp::OnlineOpts, trace_out: Option<&str>, json_dir: Opt
     0
 }
 
-struct ServeCliOpts {
-    socket: Option<String>,
-    state_dir: Option<String>,
-    queue_cap: Option<usize>,
-    serve_workers: Option<usize>,
-    stdio: bool,
-    max_wall_secs: Option<u64>,
-    throttle_ms: Option<u64>,
-    isolation: String,
-    seed: u64,
-    repeats: u64,
-    max_retries: u32,
-    faults: Option<String>,
-    poison_spec: Option<String>,
-    disturb: Option<String>,
-    recovery: RecoveryPolicy,
-    workers: Option<usize>,
-    cell_timeout_secs: Option<u64>,
-    max_cell_attempts: Option<u32>,
-    spawn_timeout_secs: Option<u64>,
-    stderr_tail_bytes: Option<usize>,
-}
-
 /// The `serve` target: run the scheduling daemon until it drains.
 /// Exit codes: 0 clean drain, 3 drained with quarantined cells,
 /// 130 aborted drain (second signal), 2 startup error.
-fn run_serve(harness: Harness, o: ServeCliOpts) -> i32 {
-    install_signal_handlers();
-    let mut ctrl = RunControl::unlimited().with_cancel(CancelToken::following_signals());
-    if let Some(secs) = o.max_wall_secs {
-        ctrl = ctrl.with_deadline_in(Duration::from_secs(secs));
-    }
-    if let Some(ms) = o.throttle_ms {
-        ctrl = ctrl.with_throttle(Duration::from_millis(ms));
-    }
+fn run_serve(cli: &Cli, harness: Harness) -> i32 {
+    let ctrl = run_control(cli);
     let mut backend = ServeBackend::new(harness);
-    if let Some(dir) = &o.state_dir {
+    if let Some(dir) = &cli.state_dir {
         backend = backend.with_state_dir(PathBuf::from(dir));
     }
-    if o.isolation == "process" {
-        let program: PathBuf = std::env::current_exe()
-            .unwrap_or_else(|e| die(&format!("cannot locate own binary: {e}")));
-        let mut wargs = vec![
-            "--cell-worker".to_string(),
-            "--seed".to_string(),
-            o.seed.to_string(),
-            "--repeats".to_string(),
-            o.repeats.to_string(),
-            "--max-retries".to_string(),
-            o.max_retries.to_string(),
-        ];
-        if let Some(desc) = &o.faults {
-            wargs.push("--faults".to_string());
-            wargs.push(desc.clone());
-        }
-        if let Some(spec) = &o.poison_spec {
-            wargs.push("--poison".to_string());
-            wargs.push(spec.clone());
-        }
-        if let Some(desc) = &o.disturb {
-            wargs.push("--disturb".to_string());
-            wargs.push(desc.clone());
-            wargs.push("--recovery".to_string());
-            wargs.push(o.recovery.to_string());
-        }
-        wargs.push("--worker-tag".to_string());
-        wargs.push("serve".to_string());
-        let opts = SuperviseOpts {
-            repeats: o.repeats,
-            workers: o.workers.unwrap_or(2),
-            resume: false,
-            cell_timeout: Duration::from_secs(o.cell_timeout_secs.unwrap_or(120)),
-            spawn_timeout: Duration::from_secs(o.spawn_timeout_secs.unwrap_or(30)),
-            stderr_tail_bytes: o.stderr_tail_bytes.unwrap_or(8 * 1024),
-            config: SupervisorConfig {
-                max_cell_attempts: o.max_cell_attempts.unwrap_or(2),
-                ..SupervisorConfig::default()
-            },
-        };
-        backend = backend.with_worker(
-            WorkerCommand {
-                program,
-                args: wargs,
-            },
-            opts,
-        );
+    if cli.isolation == Isolation::Process {
+        backend = backend.with_worker(cli.scenario.worker_command("serve"), supervise_opts(cli, 2));
     }
+    let queue = cli.queue_cap.unwrap_or(16);
     let cfg = mps_core::serve::ServerConfig {
         server: "mps-serve".to_string(),
-        queue_capacity: o.queue_cap.unwrap_or(16),
-        executors: o.serve_workers.unwrap_or(2),
+        queue_capacity: queue,
+        executors: cli.serve_workers.unwrap_or(2),
         ctrl,
         ..mps_core::serve::ServerConfig::default()
     };
     let server = mps_core::serve::Server::new(std::sync::Arc::new(backend), cfg);
-    let result = if o.stdio {
-        eprintln!(
-            "# serving mps-proto/v1 on stdio ({} isolation)",
-            o.isolation
-        );
+    let isolation = cli.isolation.name();
+    let result = if cli.stdio {
+        eprintln!("# serving mps-proto/v1 on stdio ({isolation} isolation)");
         server.run_stdio()
     } else {
         #[cfg(unix)]
         {
-            let path = o.socket.as_deref().expect("validated: --socket or --stdio");
-            eprintln!(
-                "# serving mps-proto/v1 on {path} ({} isolation, queue {})",
-                o.isolation,
-                o.queue_cap.unwrap_or(16)
-            );
+            let path = cli.socket.as_deref().expect("checked: --socket or --stdio");
+            eprintln!("# serving mps-proto/v1 on {path} ({isolation} isolation, queue {queue})");
             server.run_unix(Path::new(path))
         }
         #[cfg(not(unix))]
@@ -1520,6 +1184,7 @@ fn run_serve(harness: Harness, o: ServeCliOpts) -> i32 {
 }
 
 /// Parses a `DAG:VARIANT:ALGO` request spec.
+#[cfg(unix)]
 fn parse_cell_spec(spec: &str) -> (usize, String, String) {
     let parts: Vec<&str> = spec.split(':').collect();
     let [dag, variant, algo] = parts[..] else {
@@ -1534,38 +1199,23 @@ fn parse_cell_spec(spec: &str) -> (usize, String, String) {
 /// The `client` target: submit work to a running daemon, stream cells
 /// to stdout as `<key>\t<payload>` lines. Exit codes: 0 done, 2
 /// connect/protocol error, 4 request failed, 5 overloaded, 6 draining.
-#[allow(clippy::too_many_arguments)]
 #[cfg(unix)]
-fn run_client(
-    socket: &str,
-    repeats: u64,
-    deadline_ms: Option<u64>,
-    health: bool,
-    schedule: Option<&str>,
-    simulate: Option<&str>,
-    subset_grid: Option<usize>,
-    online: Option<&str>,
-    horizon_events: Option<u64>,
-    admission: Option<usize>,
-    seed: u64,
-    disturb: Option<String>,
-    drain: bool,
-) -> i32 {
+fn run_client(cli: &Cli) -> i32 {
     use mps_core::serve::client::connect_unix;
     use mps_core::serve::{RequestOutcome, WorkRequest};
 
-    let (mut client, _cap) =
-        match connect_unix(Path::new(socket), "repro-client", Duration::from_secs(10)) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("repro: client: {e}");
-                return 2;
-            }
-        };
+    let socket = Path::new(cli.socket.as_deref().expect("checked: client --socket"));
+    let (mut client, _cap) = match connect_unix(socket, "repro-client", Duration::from_secs(10)) {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("repro: client: {e}");
+            return 2;
+        }
+    };
     let mut id = 0u64;
     let mut code = 0i32;
 
-    if health {
+    if cli.health {
         id += 1;
         match client.health(id) {
             Ok(stats) => match serde_json::to_string_pretty(&stats) {
@@ -1582,12 +1232,13 @@ fn run_client(
         }
     }
 
+    let (repeats, disturb) = (cli.scenario.repeats, &cli.scenario.disturb);
     let mut work_items: Vec<WorkRequest> = Vec::new();
-    if let Some(spec) = schedule {
+    if let Some(spec) = &cli.schedule {
         let (dag, variant, algo) = parse_cell_spec(spec);
         work_items.push(WorkRequest::Schedule { dag, variant, algo });
     }
-    if let Some(spec) = simulate {
+    if let Some(spec) = &cli.simulate {
         let (dag, variant, algo) = parse_cell_spec(spec);
         work_items.push(WorkRequest::Simulate {
             dag,
@@ -1597,28 +1248,28 @@ fn run_client(
             disturb: disturb.clone(),
         });
     }
-    if let Some(take) = subset_grid {
+    if let Some(take) = cli.subset_grid {
         work_items.push(WorkRequest::SubsetGrid {
             take,
             repeats,
             disturb: disturb.clone(),
         });
     }
-    if let Some(spec) = online {
+    if let Some(spec) = &cli.online {
         let (algo, arrival) = spec
             .split_once(':')
             .unwrap_or_else(|| die("bad --online spec (want ALGO:ARRIVAL, e.g. HCPA:0.05)"));
         work_items.push(WorkRequest::Online {
             arrival: arrival.to_string(),
-            horizon_events: horizon_events.unwrap_or(1_000_000),
-            seed,
-            admission: admission.unwrap_or(64) as u64,
+            horizon_events: cli.horizon_events.unwrap_or(1_000_000),
+            seed: cli.scenario.seed,
+            admission: cli.admission.unwrap_or(64) as u64,
             algo: algo.to_string(),
         });
     }
     for work in &work_items {
         id += 1;
-        let outcome = client.request(id, work, deadline_ms, &mut |key, payload| {
+        let outcome = client.request(id, work, cli.deadline_ms, &mut |key, payload| {
             println!("{key}\t{payload}");
         });
         match outcome {
@@ -1650,7 +1301,7 @@ fn run_client(
             }
         }
     }
-    if drain {
+    if cli.drain {
         id += 1;
         if let Err(e) = client.drain(id) {
             eprintln!("repro: client: drain: {e}");
@@ -1662,27 +1313,12 @@ fn run_client(
 }
 
 #[cfg(not(unix))]
-#[allow(clippy::too_many_arguments)]
-fn run_client(
-    _socket: &str,
-    _repeats: u64,
-    _deadline_ms: Option<u64>,
-    _health: bool,
-    _schedule: Option<&str>,
-    _simulate: Option<&str>,
-    _subset_grid: Option<usize>,
-    _online: Option<&str>,
-    _horizon_events: Option<u64>,
-    _admission: Option<usize>,
-    _seed: u64,
-    _disturb: Option<String>,
-    _drain: bool,
-) -> i32 {
+fn run_client(_: &Cli) -> i32 {
     die("the client target requires a Unix platform")
 }
 
-/// `--help` text, to stdout (exit 0) — `die`'s short usage goes to
-/// stderr with exit 2.
+/// `--help` text, to stdout (exit 0): the one usage text, which every
+/// usage error points to.
 fn help_text() -> String {
     "repro — regenerate the paper's tables and figures, or run/query the
 scheduling daemon.
@@ -1809,27 +1445,92 @@ exit codes:
     .to_string()
 }
 
+/// A usage or runtime error: the reason on stderr, exit 2.
 fn die(msg: &str) -> ! {
     eprintln!("repro: {msg}");
-    eprintln!("usage: repro [--seed S] [--repeats R] [--json DIR] \\");
-    eprintln!("             [--faults PLAN] [--max-retries N] \\");
-    eprintln!("             [--disturb PLAN] [--recovery failfast|retry|rescue] \\");
-    eprintln!("             [--journal PATH] [--resume] [--max-wall-secs S] \\");
-    eprintln!("             [--subset N] [--workers N] [--throttle-ms N] \\");
-    eprintln!("             [--isolation inproc|process] [--cell-timeout-secs S] \\");
-    eprintln!("             [--max-cell-attempts N] [--poison SPEC] \\");
-    eprintln!("             [table1 fig1 … fig8 table2 gantt ablations faultsweep");
-    eprintln!("              disturb grid all]");
-    eprintln!("  --faults PLAN: `seed=7; crash@0:0+30; slow@1:0*1.5; fail=0.02` or a");
-    eprintln!("        preset: light | moderate | heavy");
-    eprintln!("  --disturb PLAN: `crash@4:3; slow@2-10:5:1.5; degrade@0-8:1:2` or a");
-    eprintln!("        preset: light | moderate | heavy (timed platform damage;");
-    eprintln!("        --recovery picks the crash reaction, default rescue)");
-    eprintln!("  --journal makes the grid crash-safe (write-ahead journal);");
-    eprintln!("  --resume continues it, recomputing only missing cells.");
-    eprintln!("  --isolation process runs cells in supervised child workers;");
-    eprintln!("  poison cells are quarantined after --max-cell-attempts strikes.");
-    eprintln!("  `repro serve|client` runs/queries the scheduling daemon —");
-    eprintln!("  see `repro --help` for the full flag reference.");
+    eprintln!("see `repro --help` for the flag and target reference");
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        Cli::parse(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn the_worker_argv_parses_back_to_the_same_scenario() {
+        let scenario = Scenario {
+            seed: 7,
+            repeats: 1,
+            max_retries: 5,
+            faults: Some("seed=7; moderate; fail=0.1".to_string()),
+            disturb: Some("seed=42;heavy".to_string()),
+            recovery: Some(RecoveryPolicy::RetryElsewhere),
+            poison: Some("s0/n2000/analytic/HCPA=panic".to_string()),
+        };
+        let default = Scenario::default();
+        assert_ne!(scenario.seed, default.seed);
+        assert_ne!(scenario.repeats, default.repeats);
+        assert_ne!(scenario.max_retries, default.max_retries);
+        let args = scenario.worker_command("tag").args;
+        let cli = Cli::parse(args).expect("the worker argv parses");
+        assert!(cli.cell_worker);
+        assert_eq!(cli.scenario, scenario);
+    }
+
+    #[test]
+    fn recovery_without_a_plan_stays_out_of_the_worker_argv() {
+        // `--recovery retry disturb grid` is valid; the sweep alone uses
+        // the policy, so workers get neither flag and still parse.
+        let cli = parse(&["--recovery", "retry", "--journal", "j", "disturb", "grid"]).unwrap();
+        let args = cli.scenario.worker_command("tag").args;
+        assert!(!args.iter().any(|a| a == "--recovery" || a == "--disturb"));
+        let worker = Cli::parse(args).expect("the worker argv parses");
+        assert_eq!(worker.scenario.recovery, None);
+        assert_eq!(worker.scenario.disturb, None);
+    }
+
+    #[test]
+    fn defaults_unknown_arguments_and_help() {
+        let cli = parse(&[]).unwrap();
+        assert_eq!(cli.targets, ["all"]);
+        assert_eq!(cli.scenario, Scenario::default());
+        assert_eq!(cli.isolation, Isolation::InProc);
+        assert_eq!(parse(&["--resme"]).unwrap_err(), "unknown flag `--resme`");
+        assert_eq!(parse(&["fgi1"]).unwrap_err(), "unknown target `fgi1`");
+        assert!(parse(&["--help", "fgi1"]).unwrap().help);
+    }
+
+    #[test]
+    fn values_are_checked_against_their_range() {
+        let cli = parse(&["--queue-cap", "4096", "serve", "--socket", "s"]).unwrap();
+        assert_eq!(cli.queue_cap, Some(4096));
+        for bad in ["0", "4097", "x"] {
+            assert_eq!(
+                parse(&["--queue-cap", bad, "serve", "--socket", "s"]).unwrap_err(),
+                "--queue-cap needs an integer in 1..=4096"
+            );
+        }
+        assert_eq!(parse(&["--seed"]).unwrap_err(), "--seed needs an integer");
+        assert_eq!(
+            parse(&["--isolation", "threads"]).unwrap_err(),
+            "--isolation \"threads\" is not inproc|process"
+        );
+        assert_eq!(
+            parse(&["--recovery", "never"]).unwrap_err(),
+            "--recovery needs failfast, retry, or rescue"
+        );
+    }
+
+    #[test]
+    fn targets_that_run_first_keep_ignoring_later_rule_blocks() {
+        assert!(parse(&["--socket", "s", "online"]).is_ok());
+        assert!(parse(&["--cell-timeout-secs", "5", "chaos"]).is_ok());
+        assert!(parse(&["--resume", "client", "--socket", "s"]).is_ok());
+        assert!(parse(&["--socket", "s", "grid"]).is_err());
+        assert!(parse(&["--cell-timeout-secs", "5", "--journal", "j", "grid"]).is_err());
+    }
 }

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use mps_core::dag::gen::{paper_corpus, GeneratedDag, PAPER_CORPUS_SEED};
 use mps_core::faults::io::IoEnv;
-use mps_core::faults::{DisturbReport, DisturbancePlan, FaultPlan, RecoveryPolicy};
+use mps_core::faults::{DisturbReport, DisturbancePlan, FaultPlan, PlanParseError, RecoveryPolicy};
 use mps_core::journal::RunControl;
 use mps_core::model::{EmpiricalModel, PerfModel, ProfileModel};
 use mps_core::platform::{Cluster, ClusterSpec, HostId};
@@ -85,6 +85,17 @@ impl DisturbConfig {
             recovery,
             rescue_overhead: DEFAULT_RESCUE_OVERHEAD,
         }
+    }
+
+    /// Parses a [`DisturbancePlan::parse`] description for the 32-host testbed.
+    pub fn parse(desc: &str, recovery: RecoveryPolicy) -> Result<Self, PlanParseError> {
+        let plan = DisturbancePlan::parse(desc, 32, mps_core::faults::DISTURB_HORIZON)?;
+        Ok(DisturbConfig::new(plan, recovery))
+    }
+
+    /// `None` for an empty plan: zero-intensity runs are undisturbed runs.
+    pub fn active(self) -> Option<Self> {
+        (!self.plan.is_empty()).then_some(self)
     }
 }
 
@@ -447,10 +458,9 @@ impl Harness {
     }
 
     /// Injects timed platform disturbances into every subsequent testbed
-    /// execution. An empty plan is dropped entirely, so zero-intensity
-    /// runs are undisturbed runs, with the same config digest.
+    /// execution. An empty plan is dropped ([`DisturbConfig::active`]).
     pub fn with_disturbance(mut self, cfg: DisturbConfig) -> Self {
-        self.disturb = if cfg.plan.is_empty() { None } else { Some(cfg) };
+        self.disturb = cfg.active();
         self
     }
 

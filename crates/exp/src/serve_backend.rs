@@ -27,7 +27,7 @@ use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 use mps_core::dag::gen::GeneratedDag;
-use mps_core::faults::{DisturbancePlan, RecoveryPolicy, DISTURB_HORIZON};
+use mps_core::faults::RecoveryPolicy;
 use mps_core::journal::{self, fnv64, RunControl};
 use mps_core::online::{OnlineAlgo, OnlineConfig, OnlineEngine};
 use mps_core::sched::Scheduler;
@@ -45,18 +45,14 @@ use crate::supervised::{SuperviseOpts, WorkerCommand};
 /// with grid work, so one request must not pin an executor indefinitely.
 const MAX_SERVED_HORIZON: u64 = 20_000_000;
 
-/// Parses a work request's optional disturbance-plan field. Requests
-/// carry the plan as the CLI grammar string; crashes get the rescue
-/// reaction (the daemon's contract is "serve a measurement if the
-/// surviving platform permits one"). An empty plan is `None`, keeping
-/// the byte-identical undisturbed path.
-fn parse_disturb(desc: Option<&String>) -> Result<Option<DisturbConfig>, ServeError> {
+/// A request's own disturbance plan, crashes rescued (the daemon serves a
+/// measurement if the surviving platform permits one); `None`, also for
+/// an empty plan, falls back to the daemon's startup plan.
+fn request_disturbance(desc: Option<&str>) -> Result<Option<DisturbConfig>, ServeError> {
     let Some(desc) = desc else { return Ok(None) };
-    let plan =
-        DisturbancePlan::parse(desc, 32, DISTURB_HORIZON).map_err(|e| ServeError::Backend {
-            reason: format!("bad disturbance plan: {e}"),
-        })?;
-    Ok((!plan.is_empty()).then(|| DisturbConfig::new(plan, RecoveryPolicy::Rescue)))
+    let cfg = DisturbConfig::parse(desc, RecoveryPolicy::Rescue)
+        .map_err(|e| backend_err(format!("bad disturbance plan: {e}")))?;
+    Ok(cfg.active())
 }
 
 /// Folds one cell's disturbance outcome into a request summary.
@@ -169,7 +165,7 @@ impl ServeBackend {
                 disturb,
             } => {
                 let r = self.resolve(*dag, variant, algo)?;
-                let cfg = parse_disturb(disturb.as_ref())?;
+                let cfg = request_disturbance(disturb.as_deref())?;
                 let cell = self.harness.run_one_caught(
                     r.g,
                     r.variant,
@@ -346,9 +342,7 @@ impl ServeBackend {
                     emit(k, p);
                 },
             )
-            .map_err(|e| ServeError::Backend {
-                reason: e.to_string(),
-            })?;
+            .map_err(backend_err)?;
         Ok(summarize(&grid))
     }
 }
@@ -403,7 +397,7 @@ impl Backend for ServeBackend {
                 disturb,
             } => {
                 let work_json = encode(work)?;
-                let cfg = parse_disturb(disturb.as_ref())?;
+                let cfg = request_disturbance(disturb.as_deref())?;
                 let eff = cfg.as_ref().or(self.harness.disturb.as_ref());
                 let path = match &self.state_dir {
                     Some(dir) => {
@@ -417,13 +411,12 @@ impl Backend for ServeBackend {
                         if cfg.is_some() {
                             // Worker processes get their plan via startup
                             // flags; a per-request plan cannot reach them.
-                            return Err(ServeError::Backend {
-                                reason: "per-request disturbance plans require \
-                                         in-process cell execution (this daemon \
-                                         runs --isolation process; pass --disturb \
-                                         at daemon startup instead)"
-                                    .to_string(),
-                            });
+                            return Err(backend_err(
+                                "per-request disturbance plans require \
+                                 in-process cell execution (this daemon \
+                                 runs --isolation process; pass --disturb \
+                                 at daemon startup instead)",
+                            ));
                         }
                         self.run_grid_supervised(
                             *take, *repeats, &work_json, path, cmd, opts, ctrl, emit,

@@ -26,8 +26,11 @@ use mps_platform::HostId;
 
 use crate::plan::PlanParseError;
 
-/// Default event horizon (seconds) used by [`DisturbancePlan::with_intensity`];
-/// matches the grid horizon `repro` uses for fault presets.
+/// Event horizon (seconds) of every generated or preset plan in both plan
+/// grammars: [`DisturbancePlan`] presets and [`DisturbancePlan::with_intensity`],
+/// `repro --faults` presets, and the fault-sweep campaign's
+/// [`FaultPlan::random`](crate::FaultPlan::random) points. It covers every
+/// grid makespan.
 pub const DISTURB_HORIZON: f64 = 120.0;
 
 /// One timed platform disturbance.
