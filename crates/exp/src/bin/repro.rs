@@ -414,10 +414,9 @@ impl Cli {
             (self.journal.is_some(), self.resume, self.json_dir.is_some());
         let (wall, throttle) = (self.max_wall_secs.is_some(), self.throttle_ms.is_some());
         let stream = online || (client && self.online.is_some());
-        let daemon = serve || client || online;
-        let journaled =
-            journal || self.cell_worker || serve || campaign || online || chaos || client;
-        let supervised = process || self.cell_worker || online || chaos || client;
+        let daemon = serve || client;
+        let journaled = journal || self.cell_worker || serve || campaign;
+        let supervised = process || self.cell_worker;
 
         let combined = "cannot be combined with other targets";
         let no_online = "cannot be used with the online target";
@@ -466,8 +465,8 @@ impl Cli {
             (process, !chaos, "--isolation process", no_chaos),
             (wall, !chaos, "--max-wall-secs", no_chaos),
             (throttle, !chaos, "--throttle-ms", no_chaos),
-            (self.episodes.is_some(), chaos || online, "--episodes", needs_chaos),
-            (self.chaos_dir.is_some(), chaos || online, "--chaos-dir", needs_chaos),
+            (self.episodes.is_some(), chaos, "--episodes", needs_chaos),
+            (self.chaos_dir.is_some(), chaos, "--chaos-dir", needs_chaos),
             (campaign, alone, "campaign", combined),
             (campaign, self.campaign_dir.is_some(), "campaign", "needs --campaign-dir DIR"),
             (faults, !campaign, "--faults", no_campaign),
@@ -475,8 +474,8 @@ impl Cli {
             (resume, !campaign, "--resume", no_campaign),
             (json, !campaign, "--json", no_campaign),
             (process, !campaign, "--isolation process", no_campaign),
-            (self.campaign_dir.is_some(), campaign || online, "--campaign-dir", needs_campaign),
-            (self.points.is_some(), campaign || online, "--points", needs_campaign),
+            (self.campaign_dir.is_some(), campaign, "--campaign-dir", needs_campaign),
+            (self.points.is_some(), campaign, "--points", needs_campaign),
             (serve || client, alone, "serve/client", combined),
             (serve, self.socket.is_some() || self.stdio, "serve", "needs --socket PATH (or --stdio)"),
             (serve && process, self.state_dir.is_some(), "serve --isolation process", needs_state),
@@ -1526,11 +1525,16 @@ mod tests {
     }
 
     #[test]
-    fn targets_that_run_first_keep_ignoring_later_rule_blocks() {
-        assert!(parse(&["--socket", "s", "online"]).is_ok());
-        assert!(parse(&["--cell-timeout-secs", "5", "chaos"]).is_ok());
-        assert!(parse(&["--resume", "client", "--socket", "s"]).is_ok());
-        assert!(parse(&["--socket", "s", "grid"]).is_err());
-        assert!(parse(&["--cell-timeout-secs", "5", "--journal", "j", "grid"]).is_err());
+    fn a_flag_the_target_would_ignore_is_refused() {
+        for args in [
+            &["--socket", "s", "online"][..],
+            &["--cell-timeout-secs", "5", "chaos"],
+            &["--resume", "client", "--socket", "s"],
+            &["--socket", "s", "grid"],
+            &["--cell-timeout-secs", "5", "--journal", "j", "grid"],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.starts_with(args[0]), "{args:?}: {err}");
+        }
     }
 }

@@ -6,8 +6,8 @@
 //! bit-for-bit.
 //!
 //! CI runs this file by name and fails if the corpus is skipped (see the
-//! `bench-smoke` job), so a rename or accidental `#[ignore]` cannot
-//! silently drop the coverage.
+//! "Allocation differential regression" step of the `test` job), so a
+//! rename or accidental `#[ignore]` cannot silently drop the coverage.
 
 use mps_core::dag::TaskId;
 use mps_core::model::PerfModel;

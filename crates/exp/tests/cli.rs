@@ -65,6 +65,22 @@ const REJECTED: &[(&[&str], &[&str])] = &[
         &["--resume"],
     ),
     (&["online", "grid"], &["online"]),
+    (&["--socket", "s", "online"], &["--socket"]),
+    (
+        &["--cell-timeout-secs", "5", "online"],
+        &["--cell-timeout-secs"],
+    ),
+    (&["--points", "3", "online"], &["--points"]),
+    (&["--episodes", "3", "online"], &["--episodes"]),
+    (&["--health", "online"], &["--health"]),
+    (
+        &["--cell-timeout-secs", "5", "--episodes", "1", "chaos"],
+        &["--cell-timeout-secs"],
+    ),
+    (
+        &["--resume", "client", "--socket", "s", "--health"],
+        &["--resume"],
+    ),
     (&["--trace-out", "t", "grid"], &["--trace-out"]),
     (&["--horizon-events", "5", "grid"], &["--horizon-events"]),
     (&["--episodes", "3", "grid"], &["--episodes"]),

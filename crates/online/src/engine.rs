@@ -711,9 +711,16 @@ mod tests {
             algo: OnlineAlgo::Hcpa,
         };
         let out = engine.run(&cfg).unwrap();
+        let half = engine
+            .run(&OnlineConfig {
+                horizon_events: cfg.horizon_events / 2,
+                ..cfg
+            })
+            .unwrap();
         // 16 admitted jobs max, ≤10 task ticks each, plus one arrival
         // timer: the slab and heaps must stay in that ballpark, not grow
-        // with the 50k-event horizon.
+        // with the 50k-event horizon — doubling it leaves the DES high
+        // water where half the horizon put it.
         assert!(
             out.high_water.job_slots <= 16,
             "job slab {} > admission cap",
@@ -722,6 +729,12 @@ mod tests {
         assert!(
             out.high_water.des_high_water < 1024,
             "DES footprint {} not bounded by inflight",
+            out.high_water.des_high_water
+        );
+        assert!(
+            out.high_water.des_high_water <= half.high_water.des_high_water.max(64),
+            "DES high water grew with the horizon: {} @ half vs {} @ full",
+            half.high_water.des_high_water,
             out.high_water.des_high_water
         );
     }
