@@ -64,8 +64,8 @@ use mps_core::sim::ExecPolicy;
 use mps_core::supervise::SupervisorConfig;
 use mps_exp::supervised::{serve_cells, SuperviseOpts, WorkerCommand};
 use mps_exp::{
-    ablation, figures, grid_health, parse_poison_spec, DisturbConfig, GridStatus, Harness,
-    JournaledGrid, ServeBackend,
+    ablation, figures, grid_health, parse_poison_spec, DisturbConfig, Executor, GridStatus,
+    Harness, ServeBackend,
 };
 
 /// Exit code for a campaign that completed but quarantined poison cells:
@@ -529,9 +529,7 @@ fn run_control(cli: &Cli) -> RunControl {
 fn supervise_opts(cli: &Cli, default_workers: usize) -> SuperviseOpts {
     let d = SuperviseOpts::default();
     SuperviseOpts {
-        repeats: cli.scenario.repeats,
         workers: cli.workers.unwrap_or(default_workers),
-        resume: cli.resume,
         cell_timeout: cli
             .cell_timeout_secs
             .map_or(d.cell_timeout, Duration::from_secs),
@@ -570,7 +568,7 @@ fn main() {
         // Supervised worker mode: serve cells over stdin/stdout until the
         // supervisor closes the pipe. No catch_unwind — a poisoned cell
         // kills this process and that death is the crash report.
-        std::process::exit(serve_cells(&harness, repeats));
+        std::process::exit(serve_cells(&harness));
     }
     if cli.has("serve") {
         std::process::exit(run_serve(&cli, harness));
@@ -592,27 +590,22 @@ fn main() {
             Some(jpath) => {
                 let ctrl = run_control(&cli);
                 let path = Path::new(jpath);
-                let report: JournaledGrid = match cli.isolation {
-                    // Process-isolated campaign: cells run in supervised
-                    // child workers; poison cells are quarantined.
-                    Isolation::Process => harness
-                        .run_grid_supervised(
-                            cli.subset,
-                            path,
-                            &cli.scenario.worker_command(jpath),
-                            &supervise_opts(&cli, Harness::default_workers()),
-                            &ctrl,
-                        )
-                        .unwrap_or_else(|e| die(&format!("supervised campaign: {e}"))),
-                    Isolation::InProc => {
-                        let workers = cli.workers.unwrap_or_else(Harness::default_workers);
-                        harness
-                            .run_grid_journaled(
-                                cli.subset, path, repeats, workers, cli.resume, &ctrl,
-                            )
-                            .unwrap_or_else(|e| die(&format!("journal: {e}")))
+                let (command, opts);
+                let executor = match cli.isolation {
+                    // Cells run in supervised child workers; poison cells
+                    // are quarantined.
+                    Isolation::Process => {
+                        command = cli.scenario.worker_command(jpath);
+                        opts = supervise_opts(&cli, Harness::default_workers());
+                        Executor::Process(&command, &opts)
                     }
+                    Isolation::InProc => Executor::InProc {
+                        workers: cli.workers.unwrap_or_else(Harness::default_workers),
+                    },
                 };
+                let report = harness
+                    .run_grid_campaign(cli.subset, path, repeats, cli.resume, executor, &ctrl)
+                    .unwrap_or_else(|e| die(&e.to_string()));
                 if report.salvage_dropped_bytes > 0 {
                     eprintln!(
                         "# journal recovery: dropped a torn tail of {} byte(s)",

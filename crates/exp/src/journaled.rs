@@ -1,22 +1,29 @@
-//! Crash-safe, resumable grid campaigns.
+//! The one campaign pipeline: crash-safe, resumable grids.
 //!
-//! [`Harness::run_grid_journaled`] runs the one in-process cell driver
-//! with a journal as its sink: every completed [`CellResult`] is appended
-//! to a write-ahead journal (`mps-journal`) on the calling thread, one
-//! checksummed JSON line per cell, keyed by
-//! [`cell_key`](crate::runner::cell_key). There is no writer thread: the
-//! calling thread is one of the workers and appends its own cells plus
-//! whatever the other workers have queued between its cells. Re-running
-//! against an existing journal skips the cells already on disk, so a
-//! campaign killed by a crash, an OOM, a Ctrl-C, or a wall-clock budget
-//! resumes from its last durable cell. A kill loses the cells in flight
-//! plus any finished cells still queued behind the caller's current
-//! cell. Because cell computation is deterministic and the merged grid
-//! is canonically sorted, the resumed grid is identical to an
-//! uninterrupted run with the same configuration.
+//! `Harness::run_pipeline` owns the lifecycle of every grid with resume
+//! provenance — `repro grid` under either isolation mode, the campaign
+//! sweep, the chaos soak and both daemon tiers. It opens or resumes the
+//! campaign's optional write-ahead journal (`mps-journal`), replays the
+//! resumed records to its observer, and hands the pending cells to one
+//! of two executors: [`Executor::InProc`], the in-process cell driver,
+//! or [`Executor::Process`], the supervised worker pool
+//! ([`crate::supervised`]). Either feeds one sink on the calling thread
+//! that encodes each cell, appends it to the journal as one checksummed
+//! JSON line keyed by [`cell_key`](crate::runner::cell_key), streams it
+//! to the observer and collects it. The pipeline then syncs the journal
+//! and writes the manifest.
+//!
+//! Re-running against an existing journal skips the cells already on
+//! disk, so a campaign killed by a crash, an OOM, a Ctrl-C, or a
+//! wall-clock budget resumes from its last durable cell — under either
+//! executor, whichever wrote the journal. A kill loses the cells in
+//! flight plus any finished cells not yet appended. Because cell
+//! computation is deterministic and the merged grid is canonically
+//! sorted, the resumed grid is identical to an uninterrupted run with
+//! the same configuration.
 
 use std::collections::HashSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use mps_core::dag::gen::GeneratedDag;
 use mps_core::faults::io::IoEnv;
@@ -24,10 +31,12 @@ use mps_core::journal::{
     self as journal, JournalError, JournalHeader, JournalWriter, Manifest, RunControl, StopReason,
     FORMAT_V1, MANIFEST_FORMAT_V1,
 };
+use mps_core::MpsError;
 
 use crate::runner::{
-    pending_specs, sort_cells_canonical, subset, CellResult, Harness, CELLS_PER_DAG,
+    pending_specs, sort_cells_canonical, subset, CellResult, DisturbConfig, Harness, CELLS_PER_DAG,
 };
+use crate::supervised::{drive_processes, SuperviseOpts, WorkerCommand};
 
 /// How a journaled campaign run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,87 +82,89 @@ pub struct JournaledGrid {
     pub quarantined: usize,
     /// Torn-tail bytes discarded during recovery (0 on a clean journal).
     pub salvage_dropped_bytes: u64,
-    /// The journal path.
-    pub journal: PathBuf,
 }
 
-/// What [`open_grid_journal`] recovers: the salvaged `(key, cell)`
-/// records, the writer positioned for appends, and how many torn-tail
-/// bytes were dropped.
-pub(crate) type OpenedJournal = (Vec<(String, CellResult)>, JournalWriter, u64);
+/// Where a campaign's pending cells are computed.
+#[derive(Debug, Clone, Copy)]
+pub enum Executor<'a> {
+    /// The in-process cell driver on `workers` threads, the calling
+    /// thread among them.
+    InProc {
+        /// Worker threads.
+        workers: usize,
+    },
+    /// Supervised child worker processes, launched by the command under
+    /// the pool policy: poison cells are quarantined instead of taking
+    /// the campaign down.
+    Process(&'a WorkerCommand, &'a SuperviseOpts),
+}
+
+/// One campaign's inputs to [`Harness::run_pipeline`].
+pub(crate) struct Campaign<'a> {
+    /// The corpus slice whose cells make up the campaign.
+    pub corpus: &'a [GeneratedDag],
+    /// The journal header: campaign name, repeats and expected cells
+    /// also when there is no journal.
+    pub header: JournalHeader,
+    /// The journal and whether to resume it; `None` runs ephemeral.
+    pub journal: Option<(&'a Path, bool)>,
+    /// The disturbance plan of in-process cells (process workers carry
+    /// their own, from their flags).
+    pub disturb: Option<&'a DisturbConfig>,
+}
+
+/// A resumed journal record: its key, its payload bytes and the cell.
+type Record = (String, String, CellResult);
 
 /// Recovers an existing journal (salvaging every intact cell and
-/// truncating any torn tail) or starts a fresh one. Shared between the
-/// in-process and process-isolated grid drivers.
-pub(crate) fn open_grid_journal(
+/// truncating any torn tail) or starts a fresh one. Returns the salvaged
+/// records, the writer positioned for appends, and how many torn-tail
+/// bytes were dropped.
+fn open_grid_journal(
     env: &dyn IoEnv,
     path: &Path,
     header: &JournalHeader,
     resume: bool,
-) -> Result<OpenedJournal, JournalError> {
-    if resume && path.exists() {
-        let (rec, w) = journal::open_resume_in(env, path)?;
-        match &rec.header {
-            Some(h) => {
-                h.check_matches(header)?;
-                let mut cells = Vec::with_capacity(rec.records.len());
-                for (i, (key, payload)) in rec.records.iter().enumerate() {
-                    let cell: CellResult =
-                        serde_json::from_str(payload).map_err(|e| JournalError::Corrupt {
-                            line: i + 2,
-                            reason: format!("record {key}: {e}"),
-                        })?;
-                    cells.push((key.clone(), cell));
-                }
-                Ok((cells, w, rec.dropped_bytes))
-            }
-            // Even the header was torn: the journal is equivalent to
-            // empty — start over in place.
-            None => {
-                drop(w);
-                let w = JournalWriter::create_overwrite_in(env, path, header)?;
-                Ok((Vec::new(), w, rec.dropped_bytes))
-            }
-        }
-    } else {
+) -> Result<(Vec<Record>, JournalWriter, u64), JournalError> {
+    if !(resume && path.exists()) {
         // `create` refuses to clobber an existing journal.
-        Ok((Vec::new(), JournalWriter::create_in(env, path, header)?, 0))
+        return Ok((Vec::new(), JournalWriter::create_in(env, path, header)?, 0));
     }
-}
-
-/// The paper-grid campaign over the first `take` corpus DAGs (all of
-/// them for `None`): its corpus slice and its journal campaign name —
-/// `paper-grid`, or `paper-grid[..N]` for a subset — shared by every
-/// isolation mode, so a journal started under one resumes under another.
-pub(crate) fn paper_campaign(
-    corpus: &[GeneratedDag],
-    take: Option<usize>,
-) -> (&[GeneratedDag], String) {
-    let dags = subset(corpus, take);
-    let name = match take {
-        None => "paper-grid".to_string(),
-        Some(_) => format!("paper-grid[..{}]", dags.len()),
+    let (rec, w) = journal::open_resume_in(env, path)?;
+    let Some(h) = &rec.header else {
+        // Even the header was torn: the journal is equivalent to empty —
+        // start over in place.
+        drop(w);
+        let w = JournalWriter::create_overwrite_in(env, path, header)?;
+        return Ok((Vec::new(), w, rec.dropped_bytes));
     };
-    (dags, name)
+    h.check_matches(header)?;
+    let mut records = Vec::with_capacity(rec.records.len());
+    for (i, (key, payload)) in rec.records.into_iter().enumerate() {
+        let cell: CellResult =
+            serde_json::from_str(&payload).map_err(|e| JournalError::Corrupt {
+                line: i + 2,
+                reason: format!("record {key}: {e}"),
+            })?;
+        records.push((key, payload, cell));
+    }
+    Ok((records, w, rec.dropped_bytes))
 }
 
 /// Writes the manifest (when there is a journal) and assembles the
-/// merged, canonically sorted grid. Shared final step of every grid
-/// driver with resume provenance.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finalize_grid(
+/// merged, canonically sorted grid.
+fn finalize_grid(
     env: &dyn IoEnv,
     path: Option<&Path>,
-    campaign: &str,
-    expected: u64,
-    resumed_cells: Vec<(String, CellResult)>,
-    new_cells: Vec<(String, CellResult)>,
+    header: &JournalHeader,
+    resumed: Vec<CellResult>,
+    computed: Vec<CellResult>,
     salvage_dropped_bytes: u64,
     ctrl: &RunControl,
 ) -> Result<JournaledGrid, JournalError> {
-    let resumed = resumed_cells.len();
-    let computed = new_cells.len();
-    let total_done = resumed + computed;
+    let (n_resumed, n_computed) = (resumed.len(), computed.len());
+    let total_done = n_resumed + n_computed;
+    let expected = header.cells_expected;
     let status = if total_done as u64 == expected {
         GridStatus::Complete
     } else {
@@ -162,11 +173,8 @@ pub(crate) fn finalize_grid(
             _ => GridStatus::Interrupted,
         }
     };
-    let mut cells: Vec<CellResult> = resumed_cells
-        .into_iter()
-        .chain(new_cells)
-        .map(|(_, c)| c)
-        .collect();
+    let mut cells = resumed;
+    cells.extend(computed);
     sort_cells_canonical(&mut cells);
     let quarantined = cells
         .iter()
@@ -178,7 +186,7 @@ pub(crate) fn finalize_grid(
             path,
             &Manifest {
                 format: MANIFEST_FORMAT_V1.to_string(),
-                campaign: campaign.to_string(),
+                campaign: header.campaign.clone(),
                 records: total_done as u64,
                 expected,
                 status: status.label().to_string(),
@@ -189,18 +197,17 @@ pub(crate) fn finalize_grid(
     Ok(JournaledGrid {
         cells,
         status,
-        resumed,
-        computed,
+        resumed: n_resumed,
+        computed: n_computed,
         pending: expected as usize - total_done,
         quarantined,
         salvage_dropped_bytes,
-        journal: path.map(Path::to_path_buf).unwrap_or_default(),
     })
 }
 
 impl Harness {
     /// The journal header of a grid campaign over `dags` corpus DAGs.
-    /// `isolation` names the driver (`inproc`, `serve`, `process`);
+    /// `isolation` names the executor (`inproc`, `serve`, `process`);
     /// `request` is the verbatim daemon work request (empty for batch
     /// campaigns).
     pub(crate) fn grid_header(
@@ -223,14 +230,114 @@ impl Harness {
         }
     }
 
+    /// Runs `campaign` on `executor`: opens or resumes its journal (if
+    /// any), replays the resumed records to `on_cell(key, payload_json)`,
+    /// computes the pending cells, and for each appends it to the journal
+    /// before passing it to `on_cell` — so a streamed payload is the
+    /// journal's own bytes. `ctrl` converts signals and deadlines into a
+    /// graceful drain; the journal is synced and the manifest records the
+    /// checkpoint.
+    pub(crate) fn run_pipeline(
+        &self,
+        campaign: &Campaign<'_>,
+        executor: Executor<'_>,
+        ctrl: &RunControl,
+        on_cell: &mut dyn FnMut(&str, &str),
+    ) -> Result<JournaledGrid, MpsError> {
+        let Campaign {
+            corpus,
+            header,
+            journal,
+            disturb,
+        } = campaign;
+        let repeats = header.repeats;
+        let env = self.io_env().clone();
+        let (records, mut writer, dropped) = match *journal {
+            Some((path, resume)) => {
+                let (records, writer, dropped) = open_grid_journal(&*env, path, header, resume)?;
+                (records, Some(writer), dropped)
+            }
+            None => (Vec::new(), None, 0),
+        };
+        for (key, payload, _) in &records {
+            on_cell(key, payload);
+        }
+        let done: HashSet<&str> = records.iter().map(|(key, ..)| key.as_str()).collect();
+        let pending = pending_specs(corpus, &done, repeats);
+        let mut computed = Vec::new();
+        let mut sink = |key: String, cell: CellResult| -> Result<(), MpsError> {
+            let payload = serde_json::to_string(&cell).map_err(|e| JournalError::Serde {
+                what: "cell result",
+                err: e.to_string(),
+            })?;
+            if let Some(w) = writer.as_mut() {
+                w.append_record(&key, &payload)?;
+            }
+            on_cell(&key, &payload);
+            computed.push(cell);
+            Ok(())
+        };
+        let ran = match executor {
+            Executor::InProc { workers } => self.drive_cells(
+                corpus, &pending, repeats, workers, *disturb, ctrl, &mut sink,
+            ),
+            Executor::Process(command, opts) => {
+                drive_processes(corpus, &pending, repeats, command, opts, ctrl, &mut sink)
+            }
+        };
+        // What landed is made durable also when the executor failed; its
+        // error is the one reported.
+        let synced = writer.as_mut().map_or(Ok(()), JournalWriter::sync);
+        ran?;
+        synced?;
+        let resumed = records.into_iter().map(|(.., cell)| cell).collect();
+        let path = journal.map(|(path, _)| path);
+        Ok(finalize_grid(
+            &*env, path, header, resumed, computed, dropped, ctrl,
+        )?)
+    }
+
     /// Runs the paper grid — or its first `n` DAGs for `subset = Some(n)` —
-    /// with write-ahead journaling: every completed cell is appended to
-    /// the journal, cells already present in it are skipped, and `ctrl`
-    /// converts signals/deadlines into a graceful drain (in-flight cells
-    /// finish, the journal syncs, the manifest records the checkpoint).
+    /// on `executor` with write-ahead journaling to `path`: every
+    /// completed cell is appended to the journal, cells already present in
+    /// it are skipped, and `ctrl` converts signals/deadlines into a
+    /// graceful drain (in-flight cells finish, the journal syncs, the
+    /// manifest records the checkpoint). The campaign is `paper-grid`, or
+    /// `paper-grid[..N]` for a subset, under either executor, so a
+    /// journal started under one resumes under the other.
     ///
     /// Pass `resume = true` to continue an existing journal; creating a
     /// fresh journal over an existing file is a typed error.
+    pub fn run_grid_campaign(
+        &self,
+        subset_dags: Option<usize>,
+        path: &Path,
+        repeats: u64,
+        resume: bool,
+        executor: Executor<'_>,
+        ctrl: &RunControl,
+    ) -> Result<JournaledGrid, MpsError> {
+        let corpus = self.corpus();
+        let corpus = subset(&corpus, subset_dags);
+        let name = match subset_dags {
+            None => "paper-grid".to_string(),
+            Some(_) => format!("paper-grid[..{}]", corpus.len()),
+        };
+        let isolation = match executor {
+            Executor::InProc { .. } => "inproc",
+            Executor::Process(..) => "process",
+        };
+        let campaign = Campaign {
+            corpus,
+            header: self.grid_header(&name, corpus.len(), repeats, isolation, ""),
+            journal: Some((path, resume)),
+            disturb: self.disturb.as_ref(),
+        };
+        self.run_pipeline(&campaign, executor, ctrl, &mut |_, _| {})
+    }
+
+    /// [`Harness::run_grid_campaign`] on the in-process executor with
+    /// `workers` threads, whose only failures are journal errors.
     pub fn run_grid_journaled(
         &self,
         subset: Option<usize>,
@@ -240,51 +347,19 @@ impl Harness {
         resume: bool,
         ctrl: &RunControl,
     ) -> Result<JournaledGrid, JournalError> {
-        let corpus = self.corpus();
-        let (corpus, campaign) = paper_campaign(&corpus, subset);
-        let header = self.grid_header(&campaign, corpus.len(), repeats, "inproc", "");
-        let env = self.io_env().clone();
-        let (resumed_cells, mut writer, salvage_dropped_bytes) =
-            open_grid_journal(&*env, path, &header, resume)?;
-
-        let done: HashSet<&str> = resumed_cells.iter().map(|(k, _)| k.as_str()).collect();
-        let pending = pending_specs(corpus, &done, repeats);
-        let mut new_cells = Vec::new();
-        self.drive_cells(
-            corpus,
-            &pending,
-            repeats,
-            workers,
-            self.disturb.as_ref(),
-            ctrl,
-            &mut |key, cell| {
-                let payload = serde_json::to_string(&cell).map_err(|e| JournalError::Serde {
-                    what: "cell result",
-                    err: e.to_string(),
-                })?;
-                writer.append_record(&key, &payload)?;
-                new_cells.push((key, cell));
-                Ok(())
-            },
-        )?;
-        writer.sync()?;
-
-        finalize_grid(
-            &*env,
-            Some(path),
-            &campaign,
-            header.cells_expected,
-            resumed_cells,
-            new_cells,
-            salvage_dropped_bytes,
-            ctrl,
-        )
+        let executor = Executor::InProc { workers };
+        self.run_grid_campaign(subset, path, repeats, resume, executor, ctrl)
+            .map_err(|e| match e {
+                MpsError::Journal(e) => e,
+                e => unreachable!("the in-process executor failed outside its journal: {e}"),
+            })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use std::time::Duration;
 
     fn scratch(name: &str) -> PathBuf {

@@ -26,7 +26,7 @@ pub mod supervised;
 pub use campaign::{CampaignManifest, CampaignOpts, CampaignReport, PointSummary};
 pub use chaos::{ChaosOpts, ChaosReport};
 pub use disturb::{run_disturb_sweep, DisturbPoint, DisturbSweepOpts, DisturbSweepReport};
-pub use journaled::{GridStatus, JournaledGrid};
+pub use journaled::{Executor, GridStatus, JournaledGrid};
 pub use online::{run_online_sweep, OnlineLevel, OnlineOpts, OnlineSweepReport, OnlineWall};
 pub use runner::{
     cell_key, grid_health, paired_relative_makespans, parse_poison_spec, CellOutcome, CellResult,

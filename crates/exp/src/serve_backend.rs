@@ -1,10 +1,9 @@
 //! The production [`Backend`] behind `repro serve`: executes
 //! `mps-proto/v1` work requests against a [`Harness`].
 //!
-//! Three durability tiers, picked by configuration. The first two are one
-//! code path: `SubsetGrid` requests run the in-process cell driver
-//! inline on the executor thread (no writer thread), its sink an
-//! optional journal append followed by the stream emit.
+//! A `SubsetGrid` request is a `serve[..N]` campaign on the one campaign
+//! pipeline (`Harness::run_pipeline`); the configuration picks its
+//! journal and its executor.
 //!
 //! * **Ephemeral** (no state dir): cells are computed and streamed,
 //!   nothing touches disk. A killed daemon loses in-flight work.
@@ -16,15 +15,15 @@
 //!   only the remainder; a restarted daemon finishes interrupted
 //!   journals at startup ([`ServeBackend::recover`]) because the journal
 //!   header carries the verbatim request.
-//! * **Process-isolated** (state dir + worker command): cells run in
-//!   supervised child processes — a poison request is quarantined cell
-//!   by cell instead of taking the daemon down.
+//! * **Executor**: cells run inline on the executor thread (in-process,
+//!   one worker), or, with a worker command, in supervised child
+//!   processes — a poison request is quarantined cell by cell instead of
+//!   taking the daemon down.
 //!
 //! Cell payloads are exactly the bytes the journal stores, so a client
 //! cannot tell a replayed cell from a freshly computed one.
 
-use std::collections::HashSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use mps_core::dag::gen::GeneratedDag;
 use mps_core::faults::RecoveryPolicy;
@@ -33,10 +32,9 @@ use mps_core::online::{OnlineAlgo, OnlineConfig, OnlineEngine};
 use mps_core::sched::Scheduler;
 use mps_core::serve::{Backend, ServeError, WorkRequest, WorkSummary};
 
-use crate::journaled::{finalize_grid, open_grid_journal, JournaledGrid};
+use crate::journaled::{Campaign, Executor, JournaledGrid};
 use crate::runner::{
-    algo_of, cell_key, pending_specs, subset, CellOutcome, CellResult, DisturbConfig, Harness,
-    SimVariant,
+    algo_of, cell_key, subset, CellOutcome, CellResult, DisturbConfig, Harness, SimVariant,
 };
 use crate::supervised::{SuperviseOpts, WorkerCommand};
 
@@ -90,8 +88,7 @@ impl ServeBackend {
         self
     }
 
-    /// Runs grid cells in supervised worker processes (requires a state
-    /// dir for the journal the supervisor owns).
+    /// Runs grid cells in supervised worker processes.
     pub fn with_worker(mut self, cmd: WorkerCommand, opts: SuperviseOpts) -> Self {
         self.worker = Some((cmd, opts));
         self
@@ -230,118 +227,55 @@ impl ServeBackend {
         Ok(summary)
     }
 
-    /// In-process grid, ephemeral or journaled: replay the journal's
-    /// prefix verbatim (if there is a journal), then run the cell driver
-    /// inline with a sink that appends each cell to the journal before
-    /// streaming it, and write the manifest.
-    #[allow(clippy::too_many_arguments)]
+    /// A `SubsetGrid` request: the `serve[..N]` campaign over the first
+    /// `take` DAGs on this daemon's executor, journaled when there is a
+    /// state dir, streaming every replayed and computed cell to `emit`.
     fn run_grid(
         &self,
+        work: &WorkRequest,
         take: usize,
         repeats: u64,
-        disturb: Option<&DisturbConfig>,
-        work_json: &str,
-        journal: Option<&Path>,
+        disturb: Option<&str>,
         ctrl: &RunControl,
         emit: &mut dyn FnMut(&str, &str) -> bool,
     ) -> Result<WorkSummary, ServeError> {
-        let corpus = subset(&self.corpus, Some(take));
-        let campaign = format!("serve[..{}]", corpus.len());
-        let header = self
-            .harness
-            .grid_header(&campaign, corpus.len(), repeats, "serve", work_json);
-        let env = self.harness.io_env().clone();
-        let (resumed_cells, mut writer, dropped) = match journal {
-            Some(path) => {
-                let (cells, writer, dropped) =
-                    open_grid_journal(&*env, path, &header, path.exists()).map_err(backend_err)?;
-                // Replay: re-serializing a parsed `CellResult` reproduces
-                // the journaled bytes exactly (same serializer, same field
-                // order), so a resumed stream is byte-identical to the
-                // original.
-                for (key, cell) in &cells {
-                    emit(key, &encode(cell)?);
-                }
-                (cells, Some(writer), dropped)
+        let cfg = request_disturbance(disturb)?;
+        let (executor, isolation) = match &self.worker {
+            // Worker processes get their plan via startup flags; a
+            // per-request plan cannot reach them.
+            Some(_) if cfg.is_some() => {
+                return Err(backend_err(
+                    "per-request disturbance plans require in-process cell \
+                     execution (this daemon runs --isolation process; pass \
+                     --disturb at daemon startup instead)",
+                ))
             }
-            None => (Vec::new(), None, 0),
+            Some((command, opts)) => (Executor::Process(command, opts), "process"),
+            None => (Executor::InProc { workers: 1 }, "serve"),
         };
-        let done: HashSet<&str> = resumed_cells.iter().map(|(k, _)| k.as_str()).collect();
-        let pending = pending_specs(corpus, &done, repeats);
-        let mut new_cells = Vec::new();
-        self.harness.drive_cells::<ServeError>(
-            corpus,
-            &pending,
-            repeats,
-            1,
-            disturb,
-            ctrl,
-            &mut |key, cell| {
-                let payload = encode(&cell)?;
-                if let Some(w) = writer.as_mut() {
-                    w.append_record(&key, &payload).map_err(backend_err)?;
-                }
-                emit(&key, &payload);
-                new_cells.push((key, cell));
-                Ok(())
-            },
-        )?;
-        if let Some(w) = writer.as_mut() {
-            w.sync().map_err(backend_err)?;
-        }
-        let grid = finalize_grid(
-            &*env,
-            journal,
-            &campaign,
-            header.cells_expected,
-            resumed_cells,
-            new_cells,
-            dropped,
-            ctrl,
-        )
-        .map_err(backend_err)?;
-        Ok(summarize(&grid))
-    }
-
-    /// Process-isolated grid: replay the journal, then hand the
-    /// remainder to the supervised driver, streaming as cells land.
-    #[allow(clippy::too_many_arguments)]
-    fn run_grid_supervised(
-        &self,
-        take: usize,
-        repeats: u64,
-        work_json: &str,
-        path: &std::path::Path,
-        cmd: &WorkerCommand,
-        opts: &SuperviseOpts,
-        ctrl: &RunControl,
-        emit: &mut dyn FnMut(&str, &str) -> bool,
-    ) -> Result<WorkSummary, ServeError> {
-        let resume = path.exists();
-        if resume {
-            // Replay the raw journaled records (verbatim bytes) before
-            // the supervised run re-opens the journal for appends.
-            let rec = journal::recover_in(&**self.harness.io_env(), path).map_err(backend_err)?;
-            for (key, payload) in &rec.records {
-                emit(key, payload);
+        let work_json = encode(work)?;
+        let path = match &self.state_dir {
+            Some(dir) => {
+                std::fs::create_dir_all(dir).map_err(backend_err)?;
+                Some(self.journal_path(dir, &work_json))
             }
-        }
-        let mut opts = *opts;
-        opts.repeats = repeats;
-        opts.resume = resume;
+            None => None,
+        };
+        let corpus = subset(&self.corpus, Some(take));
+        let name = format!("serve[..{}]", corpus.len());
+        let campaign = Campaign {
+            corpus,
+            header: self
+                .harness
+                .grid_header(&name, corpus.len(), repeats, isolation, &work_json),
+            journal: path.as_deref().map(|p| (p, p.exists())),
+            disturb: cfg.as_ref().or(self.harness.disturb.as_ref()),
+        };
         let grid = self
             .harness
-            .run_subset_supervised_streaming(
-                take,
-                work_json,
-                path,
-                cmd,
-                &opts,
-                ctrl,
-                &mut |k, p| {
-                    emit(k, p);
-                },
-            )
+            .run_pipeline(&campaign, executor, ctrl, &mut |key, payload| {
+                emit(key, payload);
+            })
             .map_err(backend_err)?;
         Ok(summarize(&grid))
     }
@@ -395,44 +329,7 @@ impl Backend for ServeBackend {
                 take,
                 repeats,
                 disturb,
-            } => {
-                let work_json = encode(work)?;
-                let cfg = request_disturbance(disturb.as_deref())?;
-                let eff = cfg.as_ref().or(self.harness.disturb.as_ref());
-                let path = match &self.state_dir {
-                    Some(dir) => {
-                        std::fs::create_dir_all(dir).map_err(backend_err)?;
-                        Some(self.journal_path(dir, &work_json))
-                    }
-                    None => None,
-                };
-                match (&self.worker, &path) {
-                    (Some((cmd, opts)), Some(path)) => {
-                        if cfg.is_some() {
-                            // Worker processes get their plan via startup
-                            // flags; a per-request plan cannot reach them.
-                            return Err(backend_err(
-                                "per-request disturbance plans require \
-                                 in-process cell execution (this daemon \
-                                 runs --isolation process; pass --disturb \
-                                 at daemon startup instead)",
-                            ));
-                        }
-                        self.run_grid_supervised(
-                            *take, *repeats, &work_json, path, cmd, opts, ctrl, emit,
-                        )
-                    }
-                    _ => self.run_grid(
-                        *take,
-                        *repeats,
-                        eff,
-                        &work_json,
-                        path.as_deref(),
-                        ctrl,
-                        emit,
-                    ),
-                }
-            }
+            } => self.run_grid(work, *take, *repeats, disturb.as_deref(), ctrl, emit),
         }
     }
 

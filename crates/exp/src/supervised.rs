@@ -1,12 +1,15 @@
-//! Process-isolated grid campaigns: `repro --isolation process`.
+//! The process executor of the campaign pipeline: `repro --isolation
+//! process` and the daemon's worker pool.
 //!
-//! The journaled in-process runner ([`crate::journaled`]) shares one
-//! address space between every cell, so one poison cell — a panic the
-//! `catch_unwind` net cannot contain (abort, stack overflow), an infinite
-//! loop, a memory blow-up — takes the whole campaign down, and a
-//! *deterministic* crasher re-kills every `--resume`. This module runs
-//! cells in child worker processes instead: the supervisor (this process)
-//! owns the journal and the decisions, workers own the blast radius.
+//! The in-process executor shares one address space between every cell,
+//! so one poison cell — a panic the `catch_unwind` net cannot contain
+//! (abort, stack overflow), an infinite loop, a memory blow-up — takes
+//! the whole campaign down, and a *deterministic* crasher re-kills every
+//! `--resume`. [`drive_processes`] runs cells in child worker processes
+//! instead and sends each measured or quarantined cell into the
+//! campaign's sink (`Harness::run_pipeline`), which owns the journal:
+//! this module keeps no journal and no result list, only the workers and
+//! the decisions.
 //!
 //! * Workers are the `repro` binary re-executed in a hidden
 //!   `--cell-worker` mode, configured by CLI flags to build the *same*
@@ -17,21 +20,20 @@
 //! * A dead worker is respawned with exponential backoff under a
 //!   restart-intensity cap ([`mps_core::supervise::Supervisor`]); a cell
 //!   that kills its worker `max_cell_attempts` times is **quarantined**:
-//!   the journal gets a [`CellOutcome::Quarantined`] record carrying the
-//!   full [`CrashReport`] (exit status / signal, stderr tail, wall time
-//!   per attempt), and `--resume` skips it like any other durable cell.
-//! * Successful cells journal exactly the bytes an in-process run would
-//!   have written, so healthy results are indistinguishable across
-//!   isolation modes and a campaign can switch modes between resumes.
+//!   the sink gets a [`CellOutcome::Quarantined`] cell carrying the full
+//!   [`CrashReport`] (exit status / signal, stderr tail, wall time per
+//!   attempt), and `--resume` skips it like any other durable cell.
+//! * Successful cells are exactly the cells an in-process run would
+//!   have computed, so healthy results are indistinguishable across
+//!   executors and a campaign can switch executors between resumes.
 
-use std::collections::HashSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
 use mps_core::dag::gen::GeneratedDag;
-use mps_core::journal::{JournalWriter, RunControl};
+use mps_core::journal::RunControl;
 use mps_core::supervise::{
     read_frame, write_frame, Action, Attempt, AttemptOutcome, CrashReport, Disposition,
     SuperviseError, Supervisor, SupervisorConfig, WorkerDeath, WorkerHello, WorkerProcess,
@@ -39,10 +41,7 @@ use mps_core::supervise::{
 };
 use mps_core::MpsError;
 
-use crate::journaled::{finalize_grid, open_grid_journal, paper_campaign, JournaledGrid};
-use crate::runner::{
-    algo_of, pending_specs, subset, CellOutcome, CellResult, CellSpec, Harness, SimVariant,
-};
+use crate::runner::{algo_of, CellOutcome, CellResult, CellSpec, Harness, SimVariant};
 
 /// Supervisor → worker: run this cell. Indices refer to the deterministic
 /// paper corpus and the fixed `{HCPA, MCPA}` algorithm order, which both
@@ -56,11 +55,9 @@ pub struct CellRequest {
     pub variant: SimVariant,
     /// Algorithm index (0 = HCPA, 1 = MCPA).
     pub algo: usize,
-    /// Testbed repeats for this cell. `None` (absent on the wire, as
-    /// written by pre-service supervisors) falls back to the worker's
-    /// `--repeats` flag; the serve backend dispatches per-request values.
-    #[serde(default)]
-    pub repeats: Option<u64>,
+    /// Testbed repeats for this cell (a daemon campaign's come from its
+    /// request, not from the worker's flags).
+    pub repeats: u64,
 }
 
 /// Worker → supervisor: the completed cell, keyed for the journal.
@@ -82,15 +79,11 @@ pub struct WorkerCommand {
     pub args: Vec<String>,
 }
 
-/// Policy knobs of a supervised run.
+/// Policy knobs of the process executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuperviseOpts {
-    /// Testbed repeats per cell.
-    pub repeats: u64,
     /// Worker processes.
     pub workers: usize,
-    /// Resume an existing journal instead of creating a fresh one.
-    pub resume: bool,
     /// Wall-clock budget per cell attempt; a worker exceeding it is
     /// SIGKILLed and the attempt counts as a timeout.
     pub cell_timeout: Duration,
@@ -105,9 +98,7 @@ pub struct SuperviseOpts {
 impl Default for SuperviseOpts {
     fn default() -> Self {
         SuperviseOpts {
-            repeats: 1,
             workers: 2,
-            resume: false,
             cell_timeout: Duration::from_secs(120),
             spawn_timeout: Duration::from_secs(30),
             stderr_tail_bytes: 8 * 1024,
@@ -124,7 +115,7 @@ impl Default for SuperviseOpts {
 /// process, and that death — with its exit status and stderr tail — *is*
 /// the crash report. Process isolation means never pretending a poisoned
 /// address space is still trustworthy.
-pub fn serve_cells(harness: &Harness, repeats: u64) -> i32 {
+pub fn serve_cells(harness: &Harness) -> i32 {
     let corpus = harness.corpus();
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
@@ -144,14 +135,13 @@ pub fn serve_cells(harness: &Harness, repeats: u64) -> i32 {
                     return 1;
                 };
                 let algo = algo_of(req.algo);
-                let repeats = req.repeats.unwrap_or(repeats);
-                let cell = harness.run_one(g, req.variant, algo, repeats);
+                let cell = harness.run_one(g, req.variant, algo, req.repeats);
                 let spec = CellSpec {
                     dag: req.dag,
                     variant: req.variant,
                     algo: req.algo,
                 };
-                let key = spec.key(&corpus, repeats);
+                let key = spec.key(&corpus, req.repeats);
                 if write_frame(&mut output, &CellResponse { key, cell }).is_err() {
                     return 1;
                 }
@@ -166,6 +156,7 @@ pub fn serve_cells(harness: &Harness, repeats: u64) -> i32 {
 }
 
 /// Driver-side state of one worker slot.
+#[derive(Default)]
 struct Slot {
     proc: Option<WorkerProcess>,
     /// Earliest instant the issued spawn may execute (backoff).
@@ -178,16 +169,6 @@ struct Slot {
 }
 
 impl Slot {
-    fn new() -> Self {
-        Slot {
-            proc: None,
-            spawn_due: None,
-            ready_deadline: None,
-            cell_deadline: None,
-            cell_started: None,
-        }
-    }
-
     /// Wall time the in-flight cell has consumed, in milliseconds.
     fn cell_wall_ms(&self) -> u64 {
         self.cell_started
@@ -209,41 +190,24 @@ impl Slot {
 }
 
 /// Everything the event loop threads through its helpers: the immutable
-/// run description plus the mutable journal/result accumulators.
+/// run description, the per-cell crash reports and the campaign's sink.
 struct Run<'a> {
     corpus: &'a [GeneratedDag],
     pending: &'a [CellSpec],
+    repeats: u64,
     opts: &'a SuperviseOpts,
     reports: Vec<CrashReport>,
-    writer: &'a mut JournalWriter,
-    new_cells: Vec<(String, CellResult)>,
-    /// Streaming observer: called with `(key, payload_json)` right after
-    /// each cell (measurement or quarantine record) becomes durable. The
-    /// serve backend forwards these to the requesting client.
-    on_cell: &'a mut dyn FnMut(&str, &str),
+    /// Takes every measured or quarantined cell as `(key, cell)`.
+    sink: &'a mut dyn FnMut(String, CellResult) -> Result<(), MpsError>,
 }
 
 impl Run<'_> {
     fn key_of(&self, cell_idx: usize) -> String {
-        self.pending[cell_idx].key(self.corpus, self.opts.repeats)
-    }
-
-    fn journal_cell(&mut self, key: String, cell: CellResult) -> Result<(), MpsError> {
-        let payload = serde_json::to_string(&cell).map_err(|e| {
-            MpsError::Supervise(SuperviseError::Frame {
-                reason: format!("encode cell record: {e}"),
-            })
-        })?;
-        self.writer
-            .append_record(&key, &payload)
-            .map_err(MpsError::Journal)?;
-        (self.on_cell)(&key, &payload);
-        self.new_cells.push((key, cell));
-        Ok(())
+        self.pending[cell_idx].key(self.corpus, self.repeats)
     }
 
     /// Records a failed attempt against worker `w`'s cell; when the
-    /// machine quarantines the cell, journals its poison record.
+    /// machine quarantines the cell, sinks its poison record.
     fn note_failure(
         &mut self,
         machine: &mut Supervisor,
@@ -263,7 +227,7 @@ impl Run<'_> {
                 CellOutcome::from_report(report),
             );
             let key = self.key_of(cell_idx);
-            self.journal_cell(key, cell)?;
+            (self.sink)(key, cell)?;
         }
         Ok(())
     }
@@ -288,125 +252,46 @@ fn is_busy(machine: &Supervisor, w: usize) -> bool {
     machine.busy_workers().iter().any(|&(bw, _)| bw == w)
 }
 
-impl Harness {
-    /// [`Harness::run_grid_journaled`] with process isolation, over the
-    /// paper grid or its first `n` DAGs for `subset = Some(n)`: cells run
-    /// in supervised child workers, poison cells are quarantined into the
-    /// journal, and the merged grid comes back with the same contract
-    /// (canonical order, resume provenance). Campaign names match the
-    /// in-process runner's, so a journal started under one isolation mode
-    /// resumes under the other.
-    pub fn run_grid_supervised(
-        &self,
-        subset: Option<usize>,
-        path: &Path,
-        worker: &WorkerCommand,
-        opts: &SuperviseOpts,
-        ctrl: &RunControl,
-    ) -> Result<JournaledGrid, MpsError> {
-        let corpus = self.corpus();
-        let (corpus, campaign) = paper_campaign(&corpus, subset);
-        self.run_cells_supervised(
-            corpus,
-            &campaign,
-            "",
-            path,
-            worker,
-            opts,
-            ctrl,
-            &mut |_, _| {},
-        )
-    }
+/// The process executor: computes the `pending` cells of `corpus` in
+/// supervised child workers, handing each measured or quarantined cell
+/// to `sink` as `(key, cell)`. `ctrl` drains the pool; whatever happens,
+/// no child outlives this function.
+pub(crate) fn drive_processes(
+    corpus: &[GeneratedDag],
+    pending: &[CellSpec],
+    repeats: u64,
+    command: &WorkerCommand,
+    opts: &SuperviseOpts,
+    ctrl: &RunControl,
+    sink: &mut dyn FnMut(String, CellResult) -> Result<(), MpsError>,
+) -> Result<(), MpsError> {
+    let n_workers = opts.workers.max(1).min(pending.len().max(1));
+    let mut machine = Supervisor::new(opts.config, n_workers, pending.len());
+    let mut slots: Vec<Slot> = (0..n_workers).map(|_| Slot::default()).collect();
+    let mut run = Run {
+        corpus,
+        pending,
+        repeats,
+        opts,
+        reports: vec![CrashReport::default(); pending.len()],
+        sink,
+    };
+    let mut spec = WorkerSpec::new(command.program.clone(), command.args.clone());
+    spec.stderr_tail_bytes = opts.stderr_tail_bytes;
 
-    /// The serve backend's process-isolation path: a `serve[..N]`
-    /// campaign over the first `take` DAGs with a streaming observer —
-    /// `on_cell(key, payload_json)` fires as each newly computed cell
-    /// becomes durable in the journal. `request` is the verbatim
-    /// work-request JSON stored in the journal header so a restarted
-    /// daemon can reconstruct the work from the journal alone.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_subset_supervised_streaming(
-        &self,
-        take: usize,
-        request: &str,
-        path: &Path,
-        worker: &WorkerCommand,
-        opts: &SuperviseOpts,
-        ctrl: &RunControl,
-        on_cell: &mut dyn FnMut(&str, &str),
-    ) -> Result<JournaledGrid, MpsError> {
-        let corpus = self.corpus();
-        let corpus = subset(&corpus, Some(take));
-        let campaign = format!("serve[..{}]", corpus.len());
-        self.run_cells_supervised(
-            corpus, &campaign, request, path, worker, opts, ctrl, on_cell,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_cells_supervised(
-        &self,
-        corpus: &[GeneratedDag],
-        campaign: &str,
-        request: &str,
-        path: &Path,
-        worker: &WorkerCommand,
-        opts: &SuperviseOpts,
-        ctrl: &RunControl,
-        on_cell: &mut dyn FnMut(&str, &str),
-    ) -> Result<JournaledGrid, MpsError> {
-        let header = self.grid_header(campaign, corpus.len(), opts.repeats, "process", request);
-        let env = self.io_env().clone();
-        let (resumed_cells, mut writer, salvage_dropped_bytes) =
-            open_grid_journal(&*env, path, &header, opts.resume)?;
-        let done: HashSet<&str> = resumed_cells.iter().map(|(k, _)| k.as_str()).collect();
-        let pending = pending_specs(corpus, &done, opts.repeats);
-
-        let n_workers = opts.workers.max(1).min(pending.len().max(1));
-        let mut machine = Supervisor::new(opts.config, n_workers, pending.len());
-        let mut slots: Vec<Slot> = (0..n_workers).map(|_| Slot::new()).collect();
-        let mut run = Run {
-            corpus,
-            pending: &pending,
-            opts,
-            reports: vec![CrashReport::default(); pending.len()],
-            writer: &mut writer,
-            new_cells: Vec::new(),
-            on_cell,
-        };
-        let mut spec = WorkerSpec::new(worker.program.clone(), worker.args.clone());
-        spec.stderr_tail_bytes = opts.stderr_tail_bytes;
-
-        let outcome = supervise_loop(&mut run, &mut machine, &mut slots, &spec, ctrl);
-        let new_cells = std::mem::take(&mut run.new_cells);
-
-        // Whatever happened, no child outlives this function: close every
-        // worker down (cleanly where possible) and reap it.
-        for slot in &mut slots {
-            if let Some(p) = slot.proc.take() {
-                p.shutdown(Duration::from_secs(2));
-            }
+    let outcome = supervise_loop(&mut run, &mut machine, &mut slots, &spec, ctrl);
+    // Close every worker down (cleanly where possible) and reap it.
+    for slot in &mut slots {
+        if let Some(p) = slot.proc.take() {
+            p.shutdown(Duration::from_secs(2));
         }
-        writer.sync().map_err(MpsError::Journal)?;
-        outcome?;
-
-        finalize_grid(
-            &*env,
-            Some(path),
-            campaign,
-            header.cells_expected,
-            resumed_cells,
-            new_cells,
-            salvage_dropped_bytes,
-            ctrl,
-        )
-        .map_err(MpsError::Journal)
     }
+    outcome
 }
 
 /// The supervision event loop. Single-threaded: executes the state
 /// machine's decisions, polls workers without blocking, enforces
-/// handshake and per-cell deadlines, and journals completions and
+/// handshake and per-cell deadlines, and sinks completions and
 /// quarantines inline.
 fn supervise_loop(
     run: &mut Run<'_>,
@@ -443,7 +328,7 @@ fn supervise_loop(
                         dag: cs.dag,
                         variant: cs.variant,
                         algo: cs.algo,
-                        repeats: Some(run.opts.repeats),
+                        repeats: run.repeats,
                     };
                     let now = Instant::now();
                     let sent = slots[worker]
@@ -597,7 +482,7 @@ fn on_frame(
                 run.key_of(cell_idx),
                 "worker answered a different cell than dispatched"
             );
-            run.journal_cell(resp.key, resp.cell)
+            (run.sink)(resp.key, resp.cell)
         }
         Err(_) => {
             let wall = slots[w].cell_wall_ms();

@@ -11,9 +11,10 @@
 //! cells are quarantined without disturbing their neighbours. They also
 //! pin the full paper grid and the hazard grid (faults, retries,
 //! disturbances and rescue at once) to fixed hashes, the oracle any
-//! change to the executor must keep, and hold every other in-process
-//! grid driver — the journaled grid and the ephemeral and journaled
-//! daemon streams — to the in-memory grid.
+//! change to the executor must keep, and hold every other grid driver —
+//! the journaled grid, the ephemeral and journaled daemon streams, and
+//! the process executor under `repro` and the daemon, also resuming a
+//! journal across isolation modes — to the in-memory grid.
 
 use mps_core::faults::{DisturbancePlan, FaultPlan, RecoveryPolicy};
 use mps_core::platform::HostId;
@@ -244,14 +245,36 @@ fn parse_stream(stream: &[(String, String)]) -> Vec<CellResult> {
     )
 }
 
+/// The grid a `repro` run wrote to `<dir>/grid.json`, parsed back.
+fn cli_grid(args: &[&str], dir: &std::path::Path) -> (Vec<CellResult>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--seed", "7", "--repeats", "1", "--subset", "2"])
+        .args(args)
+        .args(["--json", dir.to_str().unwrap(), "grid"])
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "repro {args:?} failed: {stderr}");
+    let json = std::fs::read_to_string(dir.join("grid.json")).expect("grid.json");
+    (
+        serde_json::from_str(&json).expect("grid.json parses"),
+        stderr,
+    )
+}
+
+/// Every grid driver — in-memory, journaled, both daemon tiers, and the
+/// process executor under `repro` and under the daemon — computes the
+/// in-memory grid, and a journal resumes across isolation modes.
 #[test]
-fn every_in_process_driver_matches_the_in_memory_grid() {
+fn every_driver_matches_the_in_memory_grid() {
+    use mps_core::journal::RunControl;
+    use std::time::Duration;
     const SUBSET: usize = 2;
     const REPEATS: u64 = 1;
     let dir = std::env::temp_dir().join(format!("mps-grid-drivers-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let ctrl = mps_core::journal::RunControl::unlimited();
+    let ctrl = RunControl::unlimited();
 
     let h = Harness::new(7);
     let want = render(&h.run_subset_with_workers(SUBSET, REPEATS, 1));
@@ -270,6 +293,27 @@ fn every_in_process_driver_matches_the_in_memory_grid() {
             want,
             "journaled grid at workers={workers}"
         );
+        // The process executor: `repro` supervising its own binary in
+        // `--cell-worker` mode.
+        let path = dir.join(format!("process-w{workers}.jl"));
+        let out = dir.join(format!("process-w{workers}"));
+        let w = workers.to_string();
+        let (cells, _) = cli_grid(
+            &[
+                "--journal",
+                path.to_str().unwrap(),
+                "--isolation",
+                "process",
+                "--workers",
+                &w,
+            ],
+            &out,
+        );
+        assert_eq!(
+            render(&cells),
+            want,
+            "process-isolated grid at workers={workers}"
+        );
     }
 
     // Ephemeral daemon: the streamed cells, parsed back, are the grid.
@@ -283,22 +327,84 @@ fn every_in_process_driver_matches_the_in_memory_grid() {
     assert_eq!((summary.computed, summary.resumed), (12, 0));
     assert_eq!(summary.status, "complete");
 
-    // Journaled daemon: same cells, streamed as the journal's own bytes,
-    // and a resubmission replays the stream byte for byte.
-    let state = dir.join("state");
-    let durable = mps_exp::ServeBackend::new(Harness::new(7)).with_state_dir(state.clone());
-    let (first, summary) = serve_grid(&durable, SUBSET, REPEATS);
-    assert_eq!(render(&parse_stream(&first)), want, "journaled daemon grid");
+    // Journaled daemons, in-process and process-isolated: same cells,
+    // streamed as the journal's own bytes, and a resubmission replays the
+    // stream byte for byte.
+    let worker = mps_exp::WorkerCommand {
+        program: env!("CARGO_BIN_EXE_repro").into(),
+        args: ["--cell-worker", "--seed", "7", "--repeats", "1"]
+            .map(String::from)
+            .to_vec(),
+    };
+    for (tier, state) in [("in-process", "state"), ("process", "state-process")] {
+        let state = dir.join(state);
+        let mut durable = mps_exp::ServeBackend::new(Harness::new(7)).with_state_dir(state.clone());
+        if tier == "process" {
+            durable = durable.with_worker(worker.clone(), mps_exp::SuperviseOpts::default());
+        }
+        let (first, summary) = serve_grid(&durable, SUBSET, REPEATS);
+        assert_eq!(
+            render(&parse_stream(&first)),
+            want,
+            "{tier} journaled daemon grid"
+        );
+        assert_eq!((summary.computed, summary.resumed), (12, 0), "{tier}");
+        let journal = std::fs::read_dir(&state)
+            .unwrap()
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .find(|p| p.extension().is_some_and(|x| x == "jl"))
+            .expect("request journal");
+        let records = mps_core::journal::recover(&journal).unwrap().records;
+        assert_eq!(
+            first, records,
+            "{tier}: streamed payloads are the journal's bytes"
+        );
+        let (again, summary) = serve_grid(&durable, SUBSET, REPEATS);
+        assert_eq!((summary.computed, summary.resumed), (0, 12), "{tier}");
+        assert_eq!(again, first, "{tier}: resubmission replays byte for byte");
+    }
+
+    // Ephemeral process-isolated daemon: no journal, same cells.
+    let ephemeral = mps_exp::ServeBackend::new(Harness::new(7))
+        .with_worker(worker.clone(), mps_exp::SuperviseOpts::default());
+    let (stream, summary) = serve_grid(&ephemeral, SUBSET, REPEATS);
+    assert_eq!(
+        render(&parse_stream(&stream)),
+        want,
+        "ephemeral process-isolated daemon grid"
+    );
     assert_eq!((summary.computed, summary.resumed), (12, 0));
-    let journal = std::fs::read_dir(&state)
-        .unwrap()
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .find(|p| p.extension().is_some_and(|x| x == "jl"))
-        .expect("request journal");
-    let records = mps_core::journal::recover(&journal).unwrap().records;
-    assert_eq!(first, records, "streamed payloads are the journal's bytes");
-    let (again, summary) = serve_grid(&durable, SUBSET, REPEATS);
-    assert_eq!((summary.computed, summary.resumed), (0, 12));
-    assert_eq!(again, first, "resubmission replays byte for byte");
+
+    // Mixed isolation: an in-process journal checkpointed by its deadline
+    // resumes under the process executor to the same grid.
+    let path = dir.join("mixed.jl");
+    let stop = RunControl::unlimited()
+        .with_throttle(Duration::from_millis(100))
+        .with_deadline_in(Duration::from_millis(250));
+    let stopped = h
+        .run_grid_journaled(Some(SUBSET), &path, REPEATS, 1, false, &stop)
+        .unwrap();
+    assert_eq!(stopped.status, mps_exp::GridStatus::DeadlineExpired);
+    let (cells, stderr) = cli_grid(
+        &[
+            "--journal",
+            path.to_str().unwrap(),
+            "--resume",
+            "--isolation",
+            "process",
+            "--workers",
+            "2",
+        ],
+        &dir.join("mixed"),
+    );
+    assert!(
+        stderr.contains(&format!("{} cell(s) resumed", stopped.computed)),
+        "{stderr}"
+    );
+    assert_eq!(
+        render(&cells),
+        want,
+        "in-process journal resumed under process isolation"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

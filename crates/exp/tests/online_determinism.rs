@@ -6,7 +6,8 @@
 //! `OnlineSweepReport::trace()` renders each run's `Debug` form, which
 //! round-trips every f64 bit, so string equality here is bit equality of
 //! the whole level × algorithm run matrix. This is the same string the
-//! CI smoke job diffs across two daemon-less runs.
+//! CI smoke job diffs across two daemon-less runs. The last test pins the
+//! 1M-event stream's trace digest.
 
 use mps_exp::{run_online_sweep, OnlineOpts};
 
@@ -69,5 +70,30 @@ fn a_different_seed_changes_the_trace() {
         a.trace(),
         b.trace(),
         "different seeds must draw different arrival streams"
+    );
+}
+
+/// The pinned 1M-event stream: Poisson arrivals at 0.04 jobs/s, HCPA,
+/// jobs at most 8 hosts wide, seed 2011 — the configuration perfbench's
+/// `online-stream` workload checks against the same digest.
+#[test]
+fn the_online_stream_digest_is_pinned() {
+    use mps_core::dag::{paper_corpus, Dag, PAPER_CORPUS_SEED};
+    use mps_core::online::{ArrivalSpec, OnlineAlgo, OnlineConfig, OnlineEngine};
+    let dags: Vec<Dag> = paper_corpus(PAPER_CORPUS_SEED)
+        .into_iter()
+        .map(|g| g.dag)
+        .collect();
+    let mut cfg = OnlineConfig::new(ArrivalSpec::Poisson { rate: 0.04 }, OnlineAlgo::Hcpa);
+    cfg.seed = 2011;
+    cfg.horizon_events = 1_000_000;
+    cfg.max_width = 8;
+    let outcome = OnlineEngine::new(&dags)
+        .expect("engine")
+        .run(&cfg)
+        .expect("streaming run");
+    assert_eq!(
+        format!("{:016x}", outcome.run.trace_digest),
+        "0d91dd50ef352c1e"
     );
 }
