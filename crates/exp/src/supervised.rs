@@ -190,12 +190,14 @@ impl Slot {
 }
 
 /// Everything the event loop threads through its helpers: the immutable
-/// run description, the per-cell crash reports and the campaign's sink.
+/// run description, the run control, the per-cell crash reports and the
+/// campaign's sink.
 struct Run<'a> {
     corpus: &'a [GeneratedDag],
     pending: &'a [CellSpec],
     repeats: u64,
     opts: &'a SuperviseOpts,
+    ctrl: &'a RunControl,
     reports: Vec<CrashReport>,
     /// Takes every measured or quarantined cell as `(key, cell)`.
     sink: &'a mut dyn FnMut(String, CellResult) -> Result<(), MpsError>,
@@ -204,6 +206,13 @@ struct Run<'a> {
 impl Run<'_> {
     fn key_of(&self, cell_idx: usize) -> String {
         self.pending[cell_idx].key(self.corpus, self.repeats)
+    }
+
+    /// Hands one cell to the sink, then paces like the in-process driver.
+    fn deliver(&mut self, key: String, cell: CellResult) -> Result<(), MpsError> {
+        (self.sink)(key, cell)?;
+        self.ctrl.pace();
+        Ok(())
     }
 
     /// Records a failed attempt against worker `w`'s cell; when the
@@ -227,7 +236,7 @@ impl Run<'_> {
                 CellOutcome::from_report(report),
             );
             let key = self.key_of(cell_idx);
-            (self.sink)(key, cell)?;
+            self.deliver(key, cell)?;
         }
         Ok(())
     }
@@ -254,7 +263,8 @@ fn is_busy(machine: &Supervisor, w: usize) -> bool {
 
 /// The process executor: computes the `pending` cells of `corpus` in
 /// supervised child workers, handing each measured or quarantined cell
-/// to `sink` as `(key, cell)`. `ctrl` drains the pool; whatever happens,
+/// to `sink` as `(key, cell)`. `ctrl` paces after each delivered cell, as
+/// the in-process executor does, and drains the pool; whatever happens,
 /// no child outlives this function.
 pub(crate) fn drive_processes(
     corpus: &[GeneratedDag],
@@ -273,13 +283,14 @@ pub(crate) fn drive_processes(
         pending,
         repeats,
         opts,
+        ctrl,
         reports: vec![CrashReport::default(); pending.len()],
         sink,
     };
     let mut spec = WorkerSpec::new(command.program.clone(), command.args.clone());
     spec.stderr_tail_bytes = opts.stderr_tail_bytes;
 
-    let outcome = supervise_loop(&mut run, &mut machine, &mut slots, &spec, ctrl);
+    let outcome = supervise_loop(&mut run, &mut machine, &mut slots, &spec);
     // Close every worker down (cleanly where possible) and reap it.
     for slot in &mut slots {
         if let Some(p) = slot.proc.take() {
@@ -298,13 +309,12 @@ fn supervise_loop(
     machine: &mut Supervisor,
     slots: &mut [Slot],
     spec: &WorkerSpec,
-    ctrl: &RunControl,
 ) -> Result<(), MpsError> {
     loop {
         // Cancellation (SIGINT, deadline): drain the machine, abort
         // in-flight cells without charging them, and kill + reap every
         // worker before leaving — no orphan survives a Ctrl-C.
-        if !machine.is_draining() && ctrl.should_stop().is_some() {
+        if !machine.is_draining() && run.ctrl.should_stop().is_some() {
             machine.drain();
             for (w, _cell) in machine.busy_workers() {
                 machine.cell_aborted(w);
@@ -482,7 +492,7 @@ fn on_frame(
                 run.key_of(cell_idx),
                 "worker answered a different cell than dispatched"
             );
-            (run.sink)(resp.key, resp.cell)
+            run.deliver(resp.key, resp.cell)
         }
         Err(_) => {
             let wall = slots[w].cell_wall_ms();

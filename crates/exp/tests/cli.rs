@@ -287,3 +287,36 @@ fn recovery_for_the_sweep_alone_leaves_process_workers_healthy() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `--throttle-ms` paces process-isolated cells too: 12 cells at 300 ms
+/// apiece cannot finish inside a 1 s wall-clock budget, so the run
+/// checkpoints with a `deadline` manifest instead of completing.
+#[test]
+fn throttle_paces_process_isolated_cells_into_the_deadline() {
+    let dir = scratch_dir("process-throttle");
+    let args = [
+        "--seed",
+        "7",
+        "--repeats",
+        "1",
+        "--subset",
+        "2",
+        "--journal",
+        "j",
+        "--isolation",
+        "process",
+        "--throttle-ms",
+        "300",
+        "--workers",
+        "1",
+        "--max-wall-secs",
+        "1",
+        "grid",
+    ];
+    let out = run_in(&dir, &args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("— deadline"), "{stderr}");
+    assert!(!stderr.contains("— complete"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -79,24 +79,38 @@ impl Kernel {
     /// sends its `n²/p`-element block to rank `(i+1) mod p` each step.
     /// Addition communicates nothing.
     pub fn comm_matrix(&self, p: usize) -> Vec<Vec<f64>> {
-        assert!(p >= 1);
-        let n = self.n() as f64;
+        let bytes = self.ring_bytes_per_rank(p);
         let mut m = vec![vec![0.0; p]; p];
-        if let Kernel::MatMul { .. } = self {
-            if p > 1 {
-                let per_step = (n * n / p as f64) * ELEMENT_BYTES;
-                let steps = (p - 1) as f64;
-                for (i, row) in m.iter_mut().enumerate() {
-                    row[(i + 1) % p] = per_step * steps;
-                }
+        if bytes != 0.0 {
+            for (i, row) in m.iter_mut().enumerate() {
+                row[(i + 1) % p] = bytes;
             }
         }
         m
     }
 
-    /// Total bytes moved by the kernel's internal communication.
+    /// The one non-zero entry of each [`comm_matrix`](Kernel::comm_matrix)
+    /// row: the bytes rank `i` sends to rank `(i + 1) mod p` over the whole
+    /// kernel, `(p − 1)` steps of an `n²/p`-element block. Zero when the
+    /// kernel does not communicate (addition, or `p = 1`).
+    pub fn ring_bytes_per_rank(&self, p: usize) -> f64 {
+        assert!(p >= 1);
+        match self {
+            Kernel::MatMul { n } if p > 1 => {
+                let n = *n as f64;
+                let per_step = (n * n / p as f64) * ELEMENT_BYTES;
+                per_step * (p - 1) as f64
+            }
+            _ => 0.0,
+        }
+    }
+
+    /// Total bytes moved by the kernel's internal communication: the sum
+    /// of the [`comm_matrix`](Kernel::comm_matrix), added up rank by rank
+    /// in the same order, without building it.
     pub fn total_comm_bytes(&self, p: usize) -> f64 {
-        self.comm_matrix(p).iter().flat_map(|row| row.iter()).sum()
+        let bytes = self.ring_bytes_per_rank(p);
+        (0..p).map(|_| bytes).sum()
     }
 
     /// Computation-to-communication ratio at allocation `p` (flops per
@@ -184,6 +198,30 @@ mod tests {
         assert!((m[3][0] - 24.0e6).abs() < 1.0);
         assert_eq!(m[0][2], 0.0);
         assert_eq!(m[0][0], 0.0);
+    }
+
+    #[test]
+    fn ring_bytes_are_the_comm_matrix_entries_and_sum_bit_for_bit() {
+        for n in [97usize, 2000, 3000] {
+            for k in [Kernel::MatMul { n }, Kernel::MatAdd { n }] {
+                for p in 1..=32 {
+                    let m = k.comm_matrix(p);
+                    let ring = k.ring_bytes_per_rank(p);
+                    for (i, row) in m.iter().enumerate() {
+                        for (j, &b) in row.iter().enumerate() {
+                            let want = if ring != 0.0 && j == (i + 1) % p {
+                                ring
+                            } else {
+                                0.0
+                            };
+                            assert_eq!(b.to_bits(), want.to_bits(), "{k} p={p} [{i}][{j}]");
+                        }
+                    }
+                    let matrix_sum: f64 = m.iter().flat_map(|row| row.iter()).sum();
+                    assert_eq!(k.total_comm_bytes(p).to_bits(), matrix_sum.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

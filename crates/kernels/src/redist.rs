@@ -112,7 +112,10 @@ impl RedistPlan {
     /// transfers between co-located ranks are local memory copies.
     ///
     /// Returns `(src_host, dst_host, bytes)` triples for distinct-host
-    /// pairs, aggregated per host pair.
+    /// pairs, aggregated per host pair: pairs in order of first
+    /// appearance, each pair's bytes summed in transfer order. One pass
+    /// over the transfers, finding each pair's entry in a dense table
+    /// indexed by host ids.
     pub fn network_transfers(
         &self,
         src_hosts: &[usize],
@@ -120,6 +123,9 @@ impl RedistPlan {
     ) -> Vec<(usize, usize, f64)> {
         assert_eq!(src_hosts.len(), self.p_src, "src host map size");
         assert_eq!(dst_hosts.len(), self.p_dst, "dst host map size");
+        let rows = src_hosts.iter().max().map_or(0, |&h| h + 1);
+        let cols = dst_hosts.iter().max().map_or(0, |&h| h + 1);
+        let mut slot = vec![usize::MAX; rows * cols];
         let mut agg: Vec<(usize, usize, f64)> = Vec::new();
         for t in &self.transfers {
             let sh = src_hosts[t.src_rank];
@@ -127,10 +133,12 @@ impl RedistPlan {
             if sh == dh {
                 continue;
             }
-            if let Some(entry) = agg.iter_mut().find(|(a, b, _)| *a == sh && *b == dh) {
-                entry.2 += t.bytes;
-            } else {
+            let k = sh * cols + dh;
+            if slot[k] == usize::MAX {
+                slot[k] = agg.len();
                 agg.push((sh, dh, t.bytes));
+            } else {
+                agg[slot[k]].2 += t.bytes;
             }
         }
         agg
@@ -236,6 +244,41 @@ mod tests {
         assert_eq!(net[0].0, 5);
         assert_eq!(net[0].1, 9);
         assert!((net[0].2 - plan.total_bytes()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn network_transfers_keep_first_appearance_order_and_summation_order() {
+        // Oracle: the quadratic scan that looks every pair up in the output
+        // so far. Repeated hosts on both sides force aggregation.
+        fn scan(plan: &RedistPlan, src: &[usize], dst: &[usize]) -> Vec<(usize, usize, u64)> {
+            let mut agg: Vec<(usize, usize, f64)> = Vec::new();
+            for t in plan.transfers() {
+                let (sh, dh) = (src[t.src_rank], dst[t.dst_rank]);
+                if sh == dh {
+                    continue;
+                }
+                match agg.iter_mut().find(|(a, b, _)| *a == sh && *b == dh) {
+                    Some(e) => e.2 += t.bytes,
+                    None => agg.push((sh, dh, t.bytes)),
+                }
+            }
+            agg.into_iter()
+                .map(|(a, b, x)| (a, b, x.to_bits()))
+                .collect()
+        }
+        for &(n, src, dst) in &[
+            (97usize, &[5usize, 5, 7, 5][..], &[9usize, 5, 9][..]),
+            (1000, &[0, 1, 2, 3, 4, 5, 6], &[6, 6, 1, 0, 2]),
+            (3001, &[3, 1, 3, 1, 3], &[1, 3, 1, 3, 1, 3, 1, 3]),
+        ] {
+            let plan = vanilla_plan(n, src.len(), dst.len());
+            let got: Vec<(usize, usize, u64)> = plan
+                .network_transfers(src, dst)
+                .into_iter()
+                .map(|(a, b, x)| (a, b, x.to_bits()))
+                .collect();
+            assert_eq!(got, scan(&plan, src, dst), "n={n} {src:?} -> {dst:?}");
+        }
     }
 
     #[test]

@@ -96,6 +96,130 @@ mod proptests {
 }
 
 #[cfg(test)]
+mod backbone_only_props {
+    use super::*;
+    use mps_kernels::{vanilla_plan, RedistPlan};
+    use mps_platform::{Cluster, HostId};
+    use proptest::collection;
+    use proptest::prelude::*;
+
+    /// One redistribution: a vanilla plan over injective placements,
+    /// submitted at `offset` with a protocol overhead.
+    struct Redist {
+        plan: RedistPlan,
+        src: Vec<HostId>,
+        dst: Vec<HostId>,
+        overhead: f64,
+        offset: f64,
+    }
+
+    /// `k` distinct hosts of the 32-node star, drawn from `seed`.
+    fn placement(k: usize, seed: u64) -> Vec<HostId> {
+        let mut hosts: Vec<usize> = (0..32).collect();
+        let mut x = seed | 1;
+        for i in (1..hosts.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            hosts.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        hosts[..k].iter().map(|&h| HostId(h)).collect()
+    }
+
+    #[derive(Clone, Copy)]
+    enum Path {
+        /// `PTaskSpec::transfers` over `RedistPlan::network_transfers`.
+        Spec,
+        /// `submit_transfers` with full or backbone-only weights.
+        Stream { backbone_only: bool },
+    }
+
+    /// Submits every redistribution at its offset, steps to idle, and
+    /// returns every completion as `(task, time bits)`.
+    fn run(redists: &[Redist], path: Path) -> Vec<(usize, u64)> {
+        let mut sim = L07Sim::new(Cluster::bayreuth());
+        assert!(sim.backbone_is_narrowest());
+        for r in redists {
+            if r.offset > 0.0 {
+                sim.schedule_timer(r.offset).unwrap();
+            }
+        }
+        let mut submitted = vec![false; redists.len()];
+        let (mut out, mut log) = (Vec::new(), Vec::new());
+        loop {
+            let now = sim.now();
+            for (i, r) in redists.iter().enumerate() {
+                if submitted[i] || r.offset > now {
+                    continue;
+                }
+                submitted[i] = true;
+                let flows = r
+                    .plan
+                    .transfers()
+                    .iter()
+                    .map(|t| (r.src[t.src_rank], r.dst[t.dst_rank], t.bytes));
+                match path {
+                    Path::Spec => {
+                        let src: Vec<usize> = r.src.iter().map(|h| h.index()).collect();
+                        let dst: Vec<usize> = r.dst.iter().map(|h| h.index()).collect();
+                        let flows = r
+                            .plan
+                            .network_transfers(&src, &dst)
+                            .into_iter()
+                            .map(|(s, d, b)| (HostId(s), HostId(d), b))
+                            .collect();
+                        sim.submit(PTaskSpec::transfers(flows).with_extra_latency(r.overhead))
+                            .unwrap();
+                    }
+                    Path::Stream { backbone_only } => {
+                        sim.submit_transfers(flows, r.overhead, backbone_only, None)
+                            .unwrap();
+                    }
+                }
+            }
+            if !sim.next_completions_into(&mut out).unwrap() {
+                break;
+            }
+            log.extend(out.iter().map(|c| (c.task.index(), c.time.to_bits())));
+        }
+        assert!(submitted.iter().all(|&s| s), "every redistribution ran");
+        log
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Backbone-only weights are exact on the paper's star: random
+        /// redistribution sets — random plans over random injective
+        /// placements, started at random offsets — complete at the same
+        /// instants, bit for bit, as through full-weight
+        /// `PTaskSpec::transfers`, and so do full-weight streamed ones.
+        #[test]
+        fn backbone_only_redistributions_complete_bit_for_bit(
+            raw in collection::vec(
+                (16usize..3001, 1usize..33, 1usize..33, any::<u64>(), 0u32..6, 0.0f64..0.5),
+                1..9,
+            ),
+        ) {
+            let redists: Vec<Redist> = raw
+                .iter()
+                .map(|&(n, p_src, p_dst, seed, offset, overhead)| Redist {
+                    plan: vanilla_plan(n, p_src, p_dst),
+                    src: placement(p_src, seed),
+                    dst: placement(p_dst, seed.rotate_left(29) ^ 0x9E37_79B9_7F4A_7C15),
+                    overhead,
+                    offset: f64::from(offset) * 0.07,
+                })
+                .collect();
+            let full = run(&redists, Path::Spec);
+            prop_assert!(!full.is_empty());
+            prop_assert_eq!(&run(&redists, Path::Stream { backbone_only: false }), &full);
+            prop_assert_eq!(&run(&redists, Path::Stream { backbone_only: true }), &full);
+        }
+    }
+}
+
+#[cfg(test)]
 mod hetero_tests {
     use super::*;
     use mps_platform::{ClusterSpec, HostId};

@@ -46,8 +46,9 @@ impl PTaskSpec {
 
     /// A pure computation task with a uniform per-host amount.
     pub fn compute_uniform(hosts: &[HostId], flops_per_host: f64) -> Self {
-        let v = vec![flops_per_host; hosts.len()];
-        Self::compute(hosts, &v)
+        let mut s = Self::new();
+        s.comp = hosts.iter().map(|&h| (h, flops_per_host)).collect();
+        s
     }
 
     /// A communication-only task from explicit flows.

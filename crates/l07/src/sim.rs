@@ -92,6 +92,8 @@ pub struct L07Sim {
     /// Raw indices of the resources touched by the current submission, in
     /// first-touch order.
     touched: Vec<usize>,
+    /// See [`L07Sim::backbone_is_narrowest`].
+    backbone_narrowest: bool,
     /// Reused by [`L07Sim::next_completions_into`] so steady-state stepping
     /// does not allocate.
     step_scratch: Vec<Completion>,
@@ -120,6 +122,11 @@ impl L07Sim {
             .chain(std::iter::once(backbone))
             .collect();
         let weight_acc = vec![0.0; resources.len()];
+        let bb = cluster.link_props(LinkId::Backbone).bandwidth;
+        let backbone_narrowest = (0..n).all(|i| {
+            bb <= cluster.link_props(LinkId::Up(i)).bandwidth
+                && bb <= cluster.link_props(LinkId::Down(i)).bandwidth
+        });
         L07Sim {
             engine,
             cluster,
@@ -130,6 +137,7 @@ impl L07Sim {
             resources,
             weight_acc,
             touched: Vec::new(),
+            backbone_narrowest,
             step_scratch: Vec::new(),
         }
     }
@@ -196,6 +204,13 @@ impl L07Sim {
         &self.cluster
     }
 
+    /// True when the as-built backbone bandwidth is at most every private
+    /// link's — the platform half of the condition under which
+    /// [`L07Sim::submit_transfers`]'s backbone-only weights are exact.
+    pub fn backbone_is_narrowest(&self) -> bool {
+        self.backbone_narrowest
+    }
+
     /// Current simulated time (seconds).
     pub fn now(&self) -> f64 {
         self.engine.now()
@@ -229,6 +244,79 @@ impl L07Sim {
         self.weight_acc[i] += w;
     }
 
+    /// Clears the dense weight scratch without starting a task.
+    fn discard_weights(&mut self) {
+        for &i in &self.touched {
+            self.weight_acc[i] = 0.0;
+        }
+        self.touched.clear();
+    }
+
+    fn check_flow(&self, (s, d, b): (HostId, HostId, f64)) -> Result<(), L07Error> {
+        let n = self.cluster.node_count();
+        if s.index() >= n {
+            return Err(L07Error::UnknownHost(s));
+        }
+        if d.index() >= n {
+            return Err(L07Error::UnknownHost(d));
+        }
+        if b.is_nan() || b < 0.0 {
+            return Err(L07Error::InvalidNumber {
+                context: "flow bytes",
+            });
+        }
+        Ok(())
+    }
+
+    /// Weighs one flow onto every link of its route — only the backbone
+    /// with `backbone_only` — and folds its route latency into
+    /// `max_latency`. Local and empty flows touch nothing.
+    fn accumulate_flow(
+        &mut self,
+        (s, d, b): (HostId, HostId, f64),
+        backbone_only: bool,
+        max_latency: &mut f64,
+    ) {
+        if s == d || b <= 0.0 {
+            return;
+        }
+        if backbone_only {
+            self.accumulate_weight(self.backbone, b);
+        } else {
+            for link in self.cluster.route_links(s, d) {
+                self.accumulate_weight(self.resource_of_link(link), b);
+            }
+        }
+        *max_latency = max_latency.max(self.cluster.route_latency(s, d));
+    }
+
+    /// Starts one activity over the accumulated weights (in resource
+    /// order) and drains the scratch.
+    fn start_accumulated(
+        &mut self,
+        latency: f64,
+        rate_bound: f64,
+        label: Option<String>,
+    ) -> Result<PTaskId, L07Error> {
+        self.touched.sort_unstable();
+        let mut sorted: Vec<(ResourceId, f64)> = Vec::with_capacity(self.touched.len());
+        for &i in &self.touched {
+            sorted.push((self.resources[i], self.weight_acc[i]));
+            self.weight_acc[i] = 0.0;
+        }
+        self.touched.clear();
+
+        let mut act = ActivitySpec::new(1.0)
+            .with_latency(latency)
+            .with_rate_bound(rate_bound);
+        act.weights = sorted;
+        if let Some(label) = label {
+            act = act.with_label(label);
+        }
+        let id = self.engine.start(act)?;
+        Ok(PTaskId(id))
+    }
+
     /// Submits a parallel task; it starts consuming resources immediately.
     pub fn submit(&mut self, spec: PTaskSpec) -> Result<PTaskId, L07Error> {
         let n = self.cluster.node_count();
@@ -242,18 +330,8 @@ impl L07Sim {
                 });
             }
         }
-        for &(s, d, b) in &spec.flows {
-            if s.index() >= n {
-                return Err(L07Error::UnknownHost(s));
-            }
-            if d.index() >= n {
-                return Err(L07Error::UnknownHost(d));
-            }
-            if b.is_nan() || b < 0.0 {
-                return Err(L07Error::InvalidNumber {
-                    context: "flow bytes",
-                });
-            }
+        for &flow in &spec.flows {
+            self.check_flow(flow)?;
         }
         if spec.extra_latency.is_nan() || spec.extra_latency < 0.0 {
             return Err(L07Error::InvalidNumber {
@@ -275,33 +353,54 @@ impl L07Sim {
             }
         }
         let mut max_route_latency = 0.0_f64;
-        for &(s, d, b) in &spec.flows {
-            if s == d || b <= 0.0 {
-                continue;
-            }
-            for link in self.cluster.route_links(s, d) {
-                self.accumulate_weight(self.resource_of_link(link), b);
-            }
-            max_route_latency = max_route_latency.max(self.cluster.route_latency(s, d));
+        for &flow in &spec.flows {
+            self.accumulate_flow(flow, false, &mut max_route_latency);
         }
+        self.start_accumulated(
+            max_route_latency + spec.extra_latency,
+            spec.rate_bound,
+            spec.label,
+        )
+    }
 
-        self.touched.sort_unstable();
-        let mut sorted: Vec<(ResourceId, f64)> = Vec::with_capacity(self.touched.len());
-        for &i in &self.touched {
-            sorted.push((self.resources[i], self.weight_acc[i]));
-            self.weight_acc[i] = 0.0;
+    /// Submits a communication-only task — the task
+    /// `submit(PTaskSpec::transfers(flows).with_extra_latency(extra_latency))`
+    /// would start, label included — streamed from `flows` without
+    /// building a spec.
+    ///
+    /// With `backbone_only`, each flow weighs the backbone alone. On the
+    /// star every cross-host flow crosses `Up(s), Backbone, Down(d)`, so a
+    /// transfer's weight on a private link is a sub-sum, in the same flow
+    /// order, of its weight on the backbone, and a link's total load never
+    /// exceeds the backbone's. When every task holding link weights is a
+    /// transfer, the platform has [`L07Sim::backbone_is_narrowest`] and no
+    /// capacity has been changed, the backbone binds first and max-min
+    /// freezes every transfer there in one round: dropping the private-link
+    /// weights leaves every rate, and so every completion time, the same
+    /// bit for bit. Those conditions are the caller's to keep.
+    pub fn submit_transfers(
+        &mut self,
+        flows: impl IntoIterator<Item = (HostId, HostId, f64)>,
+        extra_latency: f64,
+        backbone_only: bool,
+        label: Option<String>,
+    ) -> Result<PTaskId, L07Error> {
+        debug_assert!(!backbone_only || self.backbone_narrowest);
+        if extra_latency.is_nan() || extra_latency < 0.0 {
+            return Err(L07Error::InvalidNumber {
+                context: "extra latency",
+            });
         }
-        self.touched.clear();
-
-        let mut act = ActivitySpec::new(1.0)
-            .with_latency(max_route_latency + spec.extra_latency)
-            .with_rate_bound(spec.rate_bound);
-        act.weights = sorted;
-        if let Some(label) = spec.label {
-            act = act.with_label(label);
+        debug_assert!(self.touched.is_empty());
+        let mut max_route_latency = 0.0_f64;
+        for flow in flows {
+            if let Err(e) = self.check_flow(flow) {
+                self.discard_weights();
+                return Err(e);
+            }
+            self.accumulate_flow(flow, backbone_only, &mut max_route_latency);
         }
-        let id = self.engine.start(act)?;
-        Ok(PTaskId(id))
+        self.start_accumulated(max_route_latency + extra_latency, f64::INFINITY, label)
     }
 
     /// Advances to the next completion(s). `None` when idle.
@@ -759,6 +858,73 @@ mod tests {
             .run_single(PTaskSpec::compute_uniform(&hosts(&[0]), 250.0e6))
             .unwrap();
         assert!((t - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn streamed_transfers_start_the_same_task_as_a_transfer_spec() {
+        // Repeated pairs, a local flow and an empty one, next to a
+        // contending transfer: same completion instants, bit for bit.
+        let flows = vec![
+            (HostId(0), HostId(1), 3.0e7),
+            (HostId(0), HostId(2), 1.1e7),
+            (HostId(3), HostId(3), 9.0e7),
+            (HostId(0), HostId(1), 2.0e7),
+            (HostId(4), HostId(1), 0.0),
+        ];
+        let run = |streamed: Option<bool>| -> Vec<(usize, u64)> {
+            let mut s = sim();
+            s.submit(PTaskSpec::p2p(HostId(5), HostId(6), 1.25e8))
+                .unwrap();
+            match streamed {
+                None => s.submit(PTaskSpec::transfers(flows.clone()).with_extra_latency(0.3)),
+                Some(backbone_only) => {
+                    s.submit_transfers(flows.iter().copied(), 0.3, backbone_only, None)
+                }
+            }
+            .unwrap();
+            let mut out = Vec::new();
+            while let Some(batch) = s.next_completions().unwrap() {
+                out.extend(batch.iter().map(|c| (c.task.index(), c.time.to_bits())));
+            }
+            out
+        };
+        let spec = run(None);
+        assert_eq!(spec.len(), 2);
+        assert_eq!(run(Some(false)), spec);
+        assert_eq!(run(Some(true)), spec);
+    }
+
+    #[test]
+    fn a_rejected_streamed_flow_leaves_no_weight_behind() {
+        let mut s = sim();
+        let bad = [(HostId(0), HostId(1), 5.0e7), (HostId(0), HostId(40), 1.0)];
+        let err = s
+            .submit_transfers(bad.iter().copied(), 0.0, false, None)
+            .unwrap_err();
+        assert_eq!(err, L07Error::UnknownHost(HostId(40)));
+        let nan = [
+            (HostId(0), HostId(1), 5.0e7),
+            (HostId(2), HostId(3), f64::NAN),
+        ];
+        assert!(matches!(
+            s.submit_transfers(nan.iter().copied(), 0.0, true, None),
+            Err(L07Error::InvalidNumber { .. })
+        ));
+        // The next task sees clean scratch: 125 MB alone on the route.
+        let t = s
+            .run_single(PTaskSpec::p2p(HostId(0), HostId(1), 125.0e6))
+            .unwrap();
+        assert!((t - (3.0e-4 + 1.0)).abs() < 1e-9, "t = {t}");
+    }
+
+    #[test]
+    fn backbone_is_narrowest_reads_the_as_built_bandwidths() {
+        assert!(sim().backbone_is_narrowest());
+        let mut spec = ClusterSpec::bayreuth();
+        spec.backbone_bandwidth = 0.5 * GBPS;
+        assert!(L07Sim::new(spec.build().unwrap()).backbone_is_narrowest());
+        spec.backbone_bandwidth = 10.0 * GBPS;
+        assert!(!L07Sim::new(spec.build().unwrap()).backbone_is_narrowest());
     }
 
     #[test]

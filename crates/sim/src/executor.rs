@@ -78,6 +78,16 @@ pub trait ExecutionModel {
     fn fault_model(&mut self) -> Option<&mut dyn FaultModel> {
         None
     }
+
+    /// True when [`ExecutionModel::task_execution`] never returns
+    /// [`TaskExecution::Analytic`], so every task holding link weights in
+    /// the simulator is a redistribution. The executor then lets the
+    /// backbone alone carry redistribution weights on a healthy star whose
+    /// backbone is its narrowest link (see [`execute_prevalidated`]). The
+    /// default, `false`, is always safe.
+    fn fixed_tasks_only(&self) -> bool {
+        false
+    }
 }
 
 /// Resilience policy for [`execute_with_policy`].
@@ -240,6 +250,10 @@ impl<M: ExecutionModel> ExecutionModel for FaultyExecution<M> {
 
     fn fault_model(&mut self) -> Option<&mut dyn FaultModel> {
         Some(&mut self.faults)
+    }
+
+    fn fixed_tasks_only(&self) -> bool {
+        self.inner.fixed_tasks_only()
     }
 }
 
@@ -564,6 +578,19 @@ pub fn execute_with_policy(
 /// `report` accrues fired-event and recovery counters even when the
 /// execution fails, so callers can assert "failed typed *because* a
 /// disturbance fired". An empty plan sets no timer and fires nothing.
+///
+/// Redistributions take one of two paths, decided once per run. A healthy
+/// run — empty plan, no fault model — keeps every placement as the
+/// validated schedule made it, so each redistribution streams straight
+/// from its cached plan into the simulator
+/// ([`L07Sim::submit_transfers`]). When moreover the model has
+/// [`ExecutionModel::fixed_tasks_only`] and the backbone is the
+/// platform's narrowest link ([`L07Sim::backbone_is_narrowest`]), the
+/// backbone is the only link a redistribution can be bound by, and it
+/// carries their weights alone; completion times are the same bit for
+/// bit. Every other run aggregates each redistribution's flows per host
+/// pair (substituting crashed source hosts and scaling by link
+/// degradation) and submits them on every link of their routes.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_prevalidated(
     slab: &mut ExecSlab,
@@ -610,6 +637,14 @@ pub fn execute_prevalidated(
             sim.schedule_timer(b.time)?;
         }
     }
+    let healthy = setup.plan.events.is_empty() && model.fault_model().is_none();
+    let redist_path = if healthy {
+        RedistPath::Streamed {
+            backbone_only: model.fixed_tasks_only() && sim.backbone_is_narrowest(),
+        }
+    } else {
+        RedistPath::Aggregated
+    };
     let mut run = Run {
         sim,
         model,
@@ -617,6 +652,7 @@ pub fn execute_prevalidated(
         dag,
         policy,
         plan: setup.plan,
+        redist_path,
         st: run_state,
     };
     let mut next_boundary = 0usize;
@@ -680,6 +716,26 @@ fn touches_crashed(hosts: &[HostId], crashed: &[bool]) -> bool {
     hosts.iter().any(|h| crashed[h.index()])
 }
 
+/// How [`Run::issue_redist`] submits a redistribution.
+#[derive(Debug, Clone, Copy)]
+enum RedistPath {
+    /// Rank-to-rank transfers streamed into the simulator as they are:
+    /// placements are injective and no host has crashed, so no host pair
+    /// repeats and nothing needs aggregating.
+    Streamed { backbone_only: bool },
+    /// Flows aggregated per host pair, after crashed-source substitution
+    /// and link-degradation scaling.
+    Aggregated,
+}
+
+/// True when no host appears twice.
+fn distinct(hosts: &[HostId]) -> bool {
+    hosts
+        .iter()
+        .enumerate()
+        .all(|(i, h)| !hosts[..i].contains(h))
+}
+
 /// One execution in progress: the warm simulator, the model, and the
 /// slab's per-run bookkeeping.
 struct Run<'a> {
@@ -689,6 +745,7 @@ struct Run<'a> {
     dag: &'a Dag,
     policy: &'a ExecPolicy,
     plan: &'a DisturbancePlan,
+    redist_path: RedistPath,
     st: &'a mut RunState,
 }
 
@@ -759,11 +816,17 @@ impl Run<'_> {
                 TaskExecution::Analytic => {
                     // Host slowdowns reach analytic tasks through the
                     // engine's scaled capacities — no launch-time factor.
+                    // The ring's flows are the kernel's communication
+                    // matrix's non-zeros, in its row-major order.
                     let flops = kernel.flops_per_proc(p) * slowdown;
-                    let comm = kernel.comm_matrix(p);
-                    PTaskSpec::compute(hosts, &vec![flops; p])
-                        .with_comm_matrix(hosts, &comm)
-                        .with_extra_latency(startup)
+                    let ring = kernel.ring_bytes_per_rank(p);
+                    let mut spec =
+                        PTaskSpec::compute_uniform(hosts, flops).with_extra_latency(startup);
+                    if ring > 0.0 {
+                        spec.flows
+                            .extend((0..p).map(|i| (hosts[i], hosts[(i + 1) % p], ring)));
+                    }
+                    spec
                 }
                 TaskExecution::Fixed(duration) => {
                     let disturb_factor = hosts
@@ -806,33 +869,52 @@ impl Run<'_> {
     }
 
     /// Submits the redistribution for DAG edge `src → succ` using the
-    /// tasks' *current* placements. The plans are pure functions of
-    /// `(n, p_src, p_dst)` — both sides always use vanilla block
-    /// distributions — so they are memoized in the slab. Crashed source
-    /// hosts are substituted by the source's first surviving host (the
-    /// durable-replication assumption: a finished task's output can be
-    /// re-served from any surviving rank); when no source host survives at
-    /// all, the data re-materializes at the destination instantly and only
-    /// the protocol overhead is charged.
+    /// tasks' *current* placements, along the run's [`RedistPath`]. The
+    /// plans are pure functions of `(n, p_src, p_dst)` — both sides always
+    /// use vanilla block distributions — so they are memoized in the slab.
+    /// Crashed source hosts are substituted by the source's first surviving
+    /// host (the durable-replication assumption: a finished task's output
+    /// can be re-served from any surviving rank); when no source host
+    /// survives at all, the data re-materializes at the destination
+    /// instantly and only the protocol overhead is charged.
     fn issue_redist(&mut self, src: TaskId, succ: TaskId) -> Result<(), ExecError> {
         let st = &mut *self.st;
         let src_hosts = &st.placements[src.index()];
         let dst_hosts = &st.placements[succ.index()];
         let mut overhead = self.model.redist_overhead(src_hosts.len(), dst_hosts.len());
-        let mut spec = match src_hosts.iter().find(|h| !st.crashed[h.index()]) {
+        let label = self
+            .sim
+            .tracing_enabled()
+            .then(|| format!("redist-{}-{}", src.index(), succ.index()));
+        let Some(survivor) = src_hosts.iter().find(|h| !st.crashed[h.index()]) else {
             // Every source rank is gone: instantaneous re-materialization.
-            None => PTaskSpec::new().with_extra_latency(overhead),
-            Some(survivor) => {
-                let n = self.dag.task(src).kernel.n();
-                let plan = self
-                    .plan_cache
-                    .entry((n, src_hosts.len(), dst_hosts.len()))
-                    .or_insert_with(|| {
-                        RedistPlan::compute(
-                            &BlockDist1D::vanilla(n, src_hosts.len()),
-                            &BlockDist1D::vanilla(n, dst_hosts.len()),
-                        )
-                    });
+            let mut spec = PTaskSpec::new().with_extra_latency(overhead);
+            spec.label = label;
+            let id = self.sim.submit(spec)?;
+            st.in_flight.insert(id, Meaning::Redist { src, succ });
+            return Ok(());
+        };
+        let n = self.dag.task(src).kernel.n();
+        let plan = self
+            .plan_cache
+            .entry((n, src_hosts.len(), dst_hosts.len()))
+            .or_insert_with(|| {
+                RedistPlan::compute(
+                    &BlockDist1D::vanilla(n, src_hosts.len()),
+                    &BlockDist1D::vanilla(n, dst_hosts.len()),
+                )
+            });
+        let id = match self.redist_path {
+            RedistPath::Streamed { backbone_only } => {
+                debug_assert!(distinct(src_hosts) && distinct(dst_hosts));
+                let flows = plan
+                    .transfers()
+                    .iter()
+                    .map(|t| (src_hosts[t.src_rank], dst_hosts[t.dst_rank], t.bytes));
+                self.sim
+                    .submit_transfers(flows, overhead, backbone_only, label)?
+            }
+            RedistPath::Aggregated => {
                 st.src_idx.clear();
                 st.src_idx.extend(src_hosts.iter().map(|h| {
                     if st.crashed[h.index()] {
@@ -860,13 +942,11 @@ impl Run<'_> {
                     }
                     overhead *= worst;
                 }
-                PTaskSpec::transfers(flows).with_extra_latency(overhead)
+                let mut spec = PTaskSpec::transfers(flows).with_extra_latency(overhead);
+                spec.label = label;
+                self.sim.submit(spec)?
             }
         };
-        if self.sim.tracing_enabled() {
-            spec = spec.with_label(format!("redist-{}-{}", src.index(), succ.index()));
-        }
-        let id = self.sim.submit(spec)?;
         st.in_flight.insert(id, Meaning::Redist { src, succ });
         Ok(())
     }
@@ -1816,6 +1896,87 @@ mod tests {
             baseline.makespan
         );
         assert_eq!(report.degrades, 1);
+    }
+
+    /// [`Counting`] that may declare [`ExecutionModel::fixed_tasks_only`].
+    struct Declared {
+        inner: Counting,
+        fixed_only: bool,
+    }
+
+    impl ExecutionModel for Declared {
+        fn task_execution(&mut self, t: TaskId, k: Kernel, h: &[HostId]) -> TaskExecution {
+            self.inner.task_execution(t, k, h)
+        }
+        fn startup_overhead(&mut self, t: TaskId, p: usize) -> f64 {
+            self.inner.startup_overhead(t, p)
+        }
+        fn redist_overhead(&mut self, s: usize, d: usize) -> f64 {
+            self.inner.redist_overhead(s, d)
+        }
+        fn fixed_tasks_only(&self) -> bool {
+            self.fixed_only
+        }
+    }
+
+    #[test]
+    fn backbone_only_weights_never_hide_a_binding_private_link() {
+        // Chain 0 → 1 → 2 on hosts 0, 1, 0: both 32 MB redistributions
+        // cross the network. A fixed-task model's run must equal the
+        // full-weight run wherever a private link can bind: under a
+        // degrade window, and on a platform whose backbone is wider than
+        // its links.
+        let dag = chain_dag();
+        let mk = |t: usize, h: usize| ScheduledTask {
+            task: TaskId(t),
+            hosts: vec![HostId(h)],
+            est_start: t as f64 * 10.0,
+            est_finish: (t + 1) as f64 * 10.0,
+        };
+        let schedule = Schedule {
+            algorithm: "manual".into(),
+            tasks: vec![mk(0, 0), mk(1, 1), mk(2, 0)],
+            est_makespan: 30.0,
+        };
+        let run = |cluster: &Cluster, plan: &DisturbancePlan, fixed_only: bool| {
+            let mut model = Declared {
+                inner: Counting::new(2.0, 0.5, 0.25),
+                fixed_only,
+            };
+            let (r, _) = run_disturbed(
+                &dag,
+                cluster,
+                &schedule,
+                &mut model,
+                plan,
+                RecoveryPolicy::FailFast,
+                0.0,
+                None,
+            );
+            r.unwrap()
+        };
+
+        let star = Cluster::bayreuth();
+        let healthy = run(&star, &DisturbancePlan::default(), true);
+        assert_eq!(healthy, run(&star, &DisturbancePlan::default(), false));
+        let degraded = DisturbancePlan::builder(1)
+            .degrade(HostId(1), 0.0, 100.0, 50.0)
+            .build();
+        let stretched = run(&star, &degraded, true);
+        assert!(
+            stretched.makespan > healthy.makespan + 1.0,
+            "degraded {} vs healthy {}",
+            stretched.makespan,
+            healthy.makespan
+        );
+        assert_eq!(stretched, run(&star, &degraded, false));
+
+        let mut spec = mps_platform::ClusterSpec::bayreuth();
+        spec.backbone_bandwidth *= 10.0;
+        let wide = spec.build().unwrap();
+        let link_bound = run(&wide, &DisturbancePlan::default(), true);
+        assert_eq!(link_bound, run(&wide, &DisturbancePlan::default(), false));
+        assert_eq!(link_bound, healthy, "the links bind as the backbone did");
     }
 }
 

@@ -48,6 +48,10 @@ impl<M: PerfModel> ExecutionModel for ModelExecution<M> {
     fn redist_overhead(&mut self, p_src: usize, p_dst: usize) -> f64 {
         self.model.redist_overhead(p_src, p_dst)
     }
+
+    fn fixed_tasks_only(&self) -> bool {
+        !self.model.simulate_task_analytically()
+    }
 }
 
 /// A simulator: platform + performance model.

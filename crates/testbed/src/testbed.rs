@@ -263,6 +263,10 @@ impl ExecutionModel for TestbedRun<'_> {
     fn fault_model(&mut self) -> Option<&mut dyn FaultModel> {
         self.faults.as_mut().map(|f| f as &mut dyn FaultModel)
     }
+
+    fn fixed_tasks_only(&self) -> bool {
+        true
+    }
 }
 
 /// The emulated Cray XT4 / PDGEMM environment of Figure 2 (right): a
